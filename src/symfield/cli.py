@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -48,6 +49,12 @@ NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
     FloatingPointError,
 )
+
+
+# options that take a comma-separated vector; argparse reads a value with a
+# leading minus ("--x0 -1,0.5") as an option unless it is attached by "="
+VECTOR_OPTIONS = ("--x0", "--lower", "--upper", "--point")
+NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
 class ValidationError(ValueError):
@@ -513,8 +520,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """Rewrite "--x0 -1,0.5" as "--x0=-1,0.5" for every vector option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in VECTOR_OPTIONS and NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_vector_values(argv))
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2

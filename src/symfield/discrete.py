@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .manifold import OptimizerConfig, retract, tangent_project
 from .model_fit import KdeModel, ScalarFunctionModel, kde_eval
@@ -251,6 +250,9 @@ def fit_density_rotation(
     pairwise kernel sums affordable; refinement always uses the full model
     and the full dataset.
     """
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import minimize_scalar
+
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:
         raise ValueError("density rotation fitting is two-dimensional")

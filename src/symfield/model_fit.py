@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 ELBOW_LOSS_FLOOR = 1e-12
+# one row block of kernel values holds about this many doubles (512 KB), so
+# the exponent, its exponential and the weighted sums stay in cache
+KERNEL_BLOCK_ELEMENTS = 1 << 16
 
 
 class EmptyLevelSetError(ValueError):
@@ -340,25 +343,28 @@ def kde_fit(
 def _kernel_sums(
     model: KdeModel, points: np.ndarray, want_gradient: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Weighted kernel sums (and gradient sums) in memory-bounded chunks."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    C = model.centers
-    w = model.weights
-    inv2h2 = 1.0 / (2.0 * model.bandwidth**2)
-    c_sq = np.einsum("ij,ij->i", C, C)
-    vals = np.empty(points.shape[0])
-    grads = np.empty(points.shape) if want_gradient else None
-    chunk = max(1, int(1e7) // max(1, C.shape[0]))
-    for lo in range(0, points.shape[0], chunk):
-        P = points[lo : lo + chunk]
-        p_sq = np.einsum("ij,ij->i", P, P)
-        d2 = p_sq[:, None] + c_sq[None, :] - 2.0 * (P @ C.T)
-        K = np.exp(-np.maximum(d2, 0.0) * inv2h2) * w[None, :]
-        vals[lo : lo + chunk] = K.sum(axis=1)
+    """Weighted kernel sums (and gradient sums) over cache-sized row blocks."""
+    # centring keeps the cancellation in |p|^2 + |c|^2 - 2 p.c independent
+    # of where the data sit
+    shift = model.centers.mean(axis=0)
+    C = model.centers - shift
+    P = np.atleast_2d(np.asarray(points, dtype=float)) - shift
+    h2 = model.bandwidth**2
+    # a block's exponents -|p - c|^2 / (2 h^2) are one product [p, -1, -|p|^2] . rhs
+    rhs = np.vstack([2.0 * C.T, (C * C).sum(axis=1), np.ones(len(C))]) / (2.0 * h2)
+    lhs = np.column_stack([P, -np.ones(len(P)), -(P * P).sum(axis=1)])
+    wC = model.weights[:, None] * C
+    vals = np.empty(len(P))
+    grads = np.empty(P.shape) if want_gradient else None
+    rows = max(1, KERNEL_BLOCK_ELEMENTS // len(C))
+    buf = np.empty((min(rows, len(P)), len(C)))
+    for lo in range(0, len(P), rows):
+        blk = slice(lo, lo + rows)
+        K = np.matmul(lhs[blk], rhs, out=buf[: len(P) - lo])
+        np.exp(np.minimum(K, 0.0, out=K), out=K)
+        vals[blk] = v = K @ model.weights
         if want_gradient:
-            grads[lo : lo + chunk] = (K @ C - K.sum(axis=1)[:, None] * P) * (
-                2.0 * inv2h2
-            )
+            grads[blk] = (K @ wC - v[:, None] * P[blk]) / h2
     return vals, grads
 
 

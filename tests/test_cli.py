@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -136,6 +140,30 @@ def test_flow_quarter_turn(tmp_path):
     assert traj.shape == (2001, 2)
     assert np.allclose(traj[0], [1.0, 0.0])
     assert np.allclose(traj[-1], [0.0, -1.0], atol=1e-8)
+
+
+def test_negative_leading_vector_values(tmp_path):
+    """"--x0 -1,0.5" and "--lower -3,-1" parse like their "=" forms."""
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}),
+               str(tmp_path / "rot.json"))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0}),
+               str(tmp_path / "m.json"))
+    outputs = {}
+    for form in ("split", "joined"):
+        def vec(option, value):
+            return [option, value] if form == "split" else [f"{option}={value}"]
+        out = tmp_path / f"traj-{form}.csv"
+        assert run("flow", "--field", tmp_path / "rot.json",
+                   *vec("--x0", "-1,0.5"), "--t", "0.5", "--steps", "20",
+                   "--out", out) == 0
+        grid = tmp_path / f"grid-{form}.csv"
+        assert run("grid", "--model", tmp_path / "m.json",
+                   *vec("--lower", "-3,-1"), "--upper", "1,1",
+                   "--resolution", "4", "--out", grid) == 0
+        outputs[form] = (out.read_bytes(), grid.read_bytes())
+    assert outputs["split"] == outputs["joined"]
+    traj, _ = read_csv(str(tmp_path / "traj-split.csv"))
+    assert np.allclose(traj[0], [-1.0, 0.5])
 
 
 def test_flow_divergence_exit_code(tmp_path):
@@ -291,3 +319,13 @@ def test_discrete_command_reflection(tmp_path):
     a, b = result["parameters"]
     assert abs(a) == pytest.approx(1.0, abs=1e-3)
     assert abs(b) <= 1e-3
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    """Stages that never fit a density rotation skip scipy.optimize's import."""
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, symfield.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symfield as sf
 from conftest import poly_model
 from symfield.features import FeatureAtom, monomial_basis, trig_extend
 from symfield.model_fit import (
+    KERNEL_BLOCK_ELEMENTS,
     EmptyLevelSetError,
     KdeModel,
     LevelSetModel,
@@ -224,6 +227,62 @@ def test_kde_gradient_zero_at_center_and_midpoint():
     pair = KdeModel(np.array([[0.0, 0.0], [2.0, 0.0]]),
                     np.array([1.0, 1.0]), 0.7)
     assert np.abs(kde_gradient(pair, np.array([[1.0, 0.0]]))).max() <= 1e-12
+
+
+def direct_kde(model, points):
+    """Density and gradient from explicit pairwise (x - c)^2 sums."""
+    diff = points[:, None, :] - model.centers[None, :, :]
+    K = np.exp(-(diff**2).sum(axis=2) / (2 * model.bandwidth**2))
+    K *= model.weights
+    norm = model.weights.sum() * (
+        2 * np.pi * model.bandwidth**2) ** (model.dimension / 2)
+    grad = -(K[:, :, None] * diff).sum(axis=1) / model.bandwidth**2
+    return K.sum(axis=1) / norm, grad / norm
+
+
+@pytest.mark.parametrize(
+    "queries, centers, dim",
+    [
+        (1, 300, 2),  # a single query
+        (500, 1, 2),  # a single centre
+        (1000, 1000, 2),  # blocks of 65 rows: 1000 = 15 * 65 + 25
+        (1000, 1000, 3),  # three dimensions
+        (3, KERNEL_BLOCK_ELEMENTS + 7, 2),  # more centres than one block holds
+    ],
+)
+def test_kde_matches_direct_pairwise_sums(queries, centers, dim):
+    rng = np.random.default_rng(queries + centers + dim)
+    model = KdeModel(rng.standard_normal((centers, dim)) * 1.5 + 0.5,
+                     rng.uniform(0.1, 1.0, centers), 0.4)
+    points = rng.standard_normal((queries, dim)) * 1.2
+    vals, grads = direct_kde(model, points)
+    np.testing.assert_allclose(kde_eval(model, points), vals, rtol=1e-12)
+    np.testing.assert_allclose(kde_gradient(model, points), grads, rtol=1e-12,
+                               atol=1e-12 * np.abs(grads).max())
+
+
+def dyadic(x):
+    """Round to a multiple of 2^-20, so that a shift by |t| <= 1e5 is exact."""
+    return np.round(np.asarray(x) * 2.0**20) / 2.0**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5)))
+def test_kde_invariant_under_joint_translation(t):
+    # every shifted coordinate is exact, so the model sees the same geometry
+    # and any change comes from the kernel sums' own arithmetic
+    t = dyadic(t)
+    rng = np.random.default_rng(11)
+    centers = dyadic(rng.standard_normal((300, 2)))
+    weights = rng.uniform(0.1, 1.0, 300)
+    queries = dyadic(rng.standard_normal((40, 2)))
+    base = KdeModel(centers, weights, 0.38)
+    moved = KdeModel(centers + t, weights, 0.38)
+    np.testing.assert_allclose(kde_eval(moved, queries + t),
+                               kde_eval(base, queries), rtol=1e-12)
+    grad = kde_gradient(base, queries)
+    np.testing.assert_allclose(kde_gradient(moved, queries + t), grad,
+                               rtol=1e-12, atol=1e-12 * np.abs(grad).max())
 
 
 def test_kde_gradient_matches_finite_differences():
