@@ -19,7 +19,7 @@ f = fit_regression(data, targets, monomial_basis(2, 2))
 print("fitted coefficients (1, x, y, x^2, xy, y^2):")
 print(np.round(f.coefficients, 6))
 
-config = sf.OptimizerConfig("riemannian-adagrad", "mean-squared", 0.1, 5000)
+config = sf.OptimizerConfig(loss="mean-squared")
 model, trace = estimate_vector_fields(f, data, monomial_basis(2, 1), 1, config)
 print(f"\nannihilation loss after optimization: {trace.final_loss:.2e}")
 print("field coefficient blocks (rows: d/dx, d/dy; columns: 1, x, y):")

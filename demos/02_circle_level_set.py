@@ -23,8 +23,7 @@ from symfield.vfield import (
 )
 
 data, _ = sf.generate(sf.GeneratorSpec("circle3d", 1000, 0))
-config = sf.OptimizerConfig("riemannian-adagrad", "mean-squared", 0.1, 5000)
-long_config = sf.OptimizerConfig("riemannian-adagrad", "mean-squared", 0.1, 20000)
+config = sf.OptimizerConfig(loss="mean-squared")
 
 trace = select_components_elbow(data, monomial_basis(3, 1), 2, config)
 print("elbow curve over the affine dictionary:")
@@ -41,9 +40,9 @@ reduced, frame = project_onto_affine(data, affine)
 print(f"\nreduced coordinates: {reduced.shape[1]} columns, "
       f"radius spread {np.ptp(np.linalg.norm(reduced, axis=1)):.2e}")
 
-fitted, _ = fit_level_set(reduced, monomial_basis(2, 2), 1, long_config)
+fitted, _ = fit_level_set(reduced, monomial_basis(2, 2), 1, config)
 fields, _ = estimate_vector_fields(
-    fitted, reduced, monomial_basis(2, 1), 1, long_config
+    fitted, reduced, monomial_basis(2, 1), 1, config
 )
 rotation = BasisVectorField([
     sf.ScalarFunctionModel(monomial_basis(2, 1), [0.0, 0.0, -1.0]),
@@ -53,8 +52,7 @@ score = similarity(rotation, fields.field(0), domain_from_data(reduced))
 print(f"similarity to -y d/dx + x d/dy: {score.aggregate:.4f}")
 
 invariants, _ = estimate_invariants(
-    fields, reduced, monomial_basis(2, 2, include_constant=False), 1,
-    long_config,
+    fields, reduced, monomial_basis(2, 2, include_constant=False), 1, config,
 )
 print("\ninvariant feature coefficients (x, y, x^2, xy, y^2):")
 print(np.round(invariants[0].coefficients, 4))

@@ -19,7 +19,7 @@ basis = trig_extend(monomial_basis(3, 1))
 print("dictionary atoms:")
 print("  " + ", ".join(a.label() for a in basis.atoms))
 
-config = sf.OptimizerConfig("riemannian-adagrad", "mean-squared", 0.1, 20000)
+config = sf.OptimizerConfig(loss="mean-squared")
 model, loss = fit_level_set(data, basis, 1, config)
 print(f"\nlevel-set loss: {loss:.2e}")
 print("coefficients (expect -z - cos(y) + sin(x) up to scale):")

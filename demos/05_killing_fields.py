@@ -43,7 +43,7 @@ killing_basis = [
 data, targets = sf.generate(sf.GeneratorSpec("killing4d", 2000, 0))
 f = fit_regression(data, targets, monomial_basis(3, 2))
 
-config = sf.OptimizerConfig("riemannian-adagrad", "mean-squared", 0.1, 5000)
+config = sf.OptimizerConfig(loss="mean-squared")
 a, trace = basis_restricted_search(killing_basis, f, data, config)
 print("unit combination over the six Killing fields:")
 print(np.round(a, 4))

@@ -6,12 +6,7 @@ work=$(mktemp -d)
 echo "working in $work"
 
 cat > "$work/opt.json" <<'EOF'
-{
-  "algorithm": "riemannian-adagrad",
-  "loss": "mean-squared",
-  "learning_rate": 0.1,
-  "epochs": 5000
-}
+{"loss": "mean-squared"}
 EOF
 
 symfield gen --name gaussian-quadratic --size 2000 --seed 0 --out "$work/data.csv"

@@ -361,7 +361,6 @@ def cmd_grid(args) -> None:
 
 def _add_common(p, opt=True):
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     if opt:
         p.add_argument("--opt-config", default=None,
                        help="JSON optimizer configuration file")
@@ -534,9 +533,6 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_vector_values(argv))
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         args.func(args)
     except NUMERICAL_ERRORS as exc:

@@ -1,15 +1,18 @@
-"""First-order optimization of ||A W|| with orthonormal-column constraint.
+"""Minimization of ||A W|| with orthonormal-column constraint.
 
 The constraint surface is the unit sphere when W has one column and the
-Stiefel manifold otherwise.  Two update rules are provided: Riemannian
-gradient descent and a Riemannian Adagrad variant (per-entry squared
-gradient accumulator applied before tangent projection).  Everything is
-full-batch and deterministic for a fixed seed.
+Stiefel manifold otherwise.  The mean-squared loss is solved in closed
+form: the q eigenvectors of A^T A with the smallest eigenvalues are a
+global optimum (Ky Fan).  The mean-absolute loss uses Riemannian gradient
+descent or a Riemannian Adagrad variant (per-entry squared gradient
+accumulator applied before tangent projection).  Everything is full-batch
+and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -54,6 +57,12 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.loss not in ("mean-absolute", "mean-squared"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        for name, kind in (("epochs", Integral), ("seed", Integral),
+                           ("learning_rate", Real), ("adagrad_epsilon", Real)):
+            value = getattr(self, name)
+            # bool is an Integral, but a JSON true is never a count or a rate
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {kind.__name__.lower()}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -119,12 +128,13 @@ def minimize(
     A: np.ndarray,
     q: int,
     config: OptimizerConfig,
-    W0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, OptimizationTrace]:
     """Minimize loss(A W, 0) over p x q matrices with orthonormal columns.
 
-    Returns the sign-normalized solution and the per-epoch loss trace; the
-    trace's final_loss is recomputed at the returned point.
+    The mean-squared loss takes one eigensolve and reads only config.loss;
+    the mean-absolute loss runs config.epochs steps from a seeded start.
+    Returns the sign-normalized solution and the loss trace; the trace's
+    final_loss is recomputed at the returned point.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -134,26 +144,17 @@ def minimize(
     rows, p = A.shape
     if not 1 <= q <= p:
         raise ValueError(f"need 1 <= q <= {p}, got q={q}")
-
-    mse = config.loss == "mean-squared"
     scale = rows * q
-    gram = (A.T @ A) if mse else None
+    if config.loss == "mean-squared":
+        W = _fix_column_signs(np.linalg.eigh(A.T @ A)[1][:, :q])
+        loss = float(np.sum((A @ W) ** 2)) / scale
+        return W, OptimizationTrace([loss], loss)
 
     def loss_and_grad(W):
-        if mse:
-            GW = gram @ W
-            # roundoff can push an exactly-zero quadratic form slightly negative
-            return max(float(np.sum(W * GW)) / scale, 0.0), (2.0 / scale) * GW
         res = A @ W
         return float(np.abs(res).sum()) / scale, (A.T @ np.sign(res)) / scale
 
-    if W0 is None:
-        W = random_orthonormal(p, q, np.random.default_rng(config.seed))
-    else:
-        W = np.array(W0, dtype=float)
-        if W.shape != (p, q):
-            raise ValueError("W0 has wrong shape")
-
+    W = random_orthonormal(p, q, np.random.default_rng(config.seed))
     lr = config.learning_rate
     acc = np.zeros((p, q))
     trace = OptimizationTrace()

@@ -168,11 +168,10 @@ def fit_level_set(
     basis: FeatureBasis,
     k: int,
     config: manifold.OptimizerConfig,
-    W0: np.ndarray | None = None,
 ) -> tuple[LevelSetModel, float]:
     """Estimate k orthonormal coefficient columns with B W ~ 0."""
     B = design_matrix(basis, np.atleast_2d(np.asarray(data, dtype=float)))
-    W, trace = manifold.minimize(B, k, config, W0=W0)
+    W, trace = manifold.minimize(B, k, config)
     return LevelSetModel(basis, W), trace.final_loss
 
 

@@ -211,7 +211,7 @@ def _read_table(path: str) -> tuple[np.ndarray, list[str]]:
             if line.strip()
         ]
     if not rows:
-        return np.empty((0, len(header))), header
+        raise ValueError(f"no data rows in {path!r}")
     table = np.array(rows, dtype=float)
     if table.shape[1] != len(header):
         raise ValueError(f"ragged CSV {path!r}")

@@ -254,9 +254,27 @@ def test_missing_input_file_fails(tmp_path):
                "--out", tmp_path / "f.json") == 2
 
 
-def test_threads_validation(tmp_path):
-    assert run("gen", "--name", "cubic", "--size", "10",
-               "--out", tmp_path / "d.csv", "--threads", "0") == 2
+@pytest.mark.parametrize("command", [
+    ["fit-fn"],
+    ["fit-levelset", "--k", "1"],
+    ["find-vf", "--model", "m.json"],
+])
+def test_header_only_csv_fails(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("x1,x2,target\n")
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0}),
+               "m.json")
+    assert run(*command, "--data", "d.csv", "--out", "out") == 2
+
+
+def test_opt_config_wrong_type_fails(tmp_path):
+    run("gen", "--name", "gaussian-quadratic", "--size", "50", "--seed", "0",
+        "--out", tmp_path / "d.csv")
+    run("fit-fn", "--data", tmp_path / "d.csv", "--out", tmp_path / "f.json")
+    assert run("find-vf", "--model", tmp_path / "f.json",
+               "--data", tmp_path / "d.csv",
+               "--opt-config", opt_config_file(tmp_path, epochs="x"),
+               "--out", tmp_path / "vf.json") == 2
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfield.manifold import (
     OptimizerConfig,
@@ -62,11 +64,11 @@ def test_adagrad_first_epoch_matches_rescaled_sgd():
     eps = 1e-10
     lr = 0.01
     ada, _ = minimize(
-        A, 1, OptimizerConfig("riemannian-adagrad", "mean-squared", lr, 1,
+        A, 1, OptimizerConfig("riemannian-adagrad", "mean-absolute", lr, 1,
                               seed=5, adagrad_epsilon=eps)
     )
     sgd, _ = minimize(
-        A, 1, OptimizerConfig("riemannian-sgd", "mean-squared",
+        A, 1, OptimizerConfig("riemannian-sgd", "mean-absolute",
                               lr / np.sqrt(eps), 1, seed=5)
     )
     assert np.allclose(ada, sgd, atol=1e-12)
@@ -102,12 +104,60 @@ def test_mse_loss_nonnegative():
     assert trace.final_loss >= 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 60),
+    p=st.integers(1, 12),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.integers(-6, 6),
+)
+def test_mean_squared_is_ky_fan_optimum(rows, p, data, seed, log_scale):
+    q = data.draw(st.integers(1, p), label="q")
+    rank = data.draw(st.integers(0, min(rows, p)), label="rank")
+    rng = np.random.default_rng(seed)
+    A = 10.0**log_scale * (
+        rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, p))
+    )
+    W, trace = minimize(A, q, OptimizerConfig(loss="mean-squared"))
+    assert W.shape == (p, q)
+    assert np.abs(W.T @ W - np.eye(q)).max() <= 1e-10
+    eigenvalues = np.linalg.eigvalsh(A.T @ A)
+    optimum = eigenvalues[:q].sum() / (rows * q)
+    tol = 1e-12 * max(eigenvalues[-1], 0.0) / (rows * q)
+    assert abs(trace.final_loss - optimum) <= tol
+    assert trace.losses == [trace.final_loss]
+
+    # the closed form reads no update-rule setting
+    other = OptimizerConfig(
+        algorithm=data.draw(
+            st.sampled_from(["riemannian-sgd", "riemannian-adagrad"])),
+        loss="mean-squared",
+        learning_rate=data.draw(st.floats(1e-6, 10.0)),
+        epochs=data.draw(st.integers(1, 10**6)),
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+    )
+    W2, trace2 = minimize(A, q, other)
+    assert W2.tobytes() == W.tobytes()
+    assert trace2.final_loss == trace.final_loss
+
+
 @pytest.mark.parametrize("bad", [
     dict(algorithm="adam"),
     dict(loss="huber"),
     dict(learning_rate=0.0),
     dict(epochs=0),
     dict(adagrad_epsilon=0.0),
+    dict(epochs="x"),
+    dict(epochs=10.0),
+    dict(epochs=True),
+    dict(seed="0"),
+    dict(seed=1.5),
+    dict(seed=False),
+    dict(learning_rate="0.1"),
+    dict(learning_rate=None),
+    dict(learning_rate=True),
+    dict(adagrad_epsilon=[1e-10]),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -121,6 +171,11 @@ def test_config_from_dict_ignores_extras():
     )
     assert cfg.algorithm == "riemannian-sgd"
     assert cfg.epochs == 7
+
+
+def test_config_accepts_json_integer_rates():
+    cfg = OptimizerConfig.from_dict({"learning_rate": 1, "adagrad_epsilon": 1})
+    assert cfg.learning_rate == 1 and cfg.adagrad_epsilon == 1
 
 
 def test_minimize_rejects_nonfinite():
