@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .model_fit import EmptyLevelSetError, KdeModel, ScalarFunctionModel
 from .serialize import (
     load_json,
     load_model,
+    model_from_dict,
     model_to_dict,
     read_csv,
     save_json,
@@ -39,7 +41,7 @@ from .serialize import (
     _write_table,
 )
 from .similarity import IntegrationDomain, domain_from_data, similarity
-from .vfield import FlowDivergedError
+from .vfield import BasisVectorField, FlowDivergedError, VectorFieldModel
 
 NUMERICAL_ERRORS = (
     DivergenceError,
@@ -75,11 +77,7 @@ def _opt_config(args) -> OptimizerConfig:
         cfg = OptimizerConfig.from_dict(load_json(args.opt_config))
     else:
         cfg = OptimizerConfig()
-    seed = _effective_seed(args, cfg.seed)
-    return OptimizerConfig(
-        cfg.algorithm, cfg.loss, cfg.learning_rate, cfg.epochs, seed,
-        cfg.adagrad_epsilon,
-    )
+    return replace(cfg, seed=_effective_seed(args, cfg.seed))
 
 
 def _basis_for(args, n: int, include_constant: bool = True):
@@ -87,6 +85,14 @@ def _basis_for(args, n: int, include_constant: bool = True):
     if getattr(args, "trig", False):
         basis = trig_extend(basis)
     return basis
+
+
+def _load_model(path: str, *kinds):
+    model = load_model(path)
+    if not isinstance(model, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValidationError(f"{path} holds a {type(model).__name__}, not a {names}")
+    return model
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -167,10 +173,7 @@ def cmd_fit_levelset(args) -> None:
 
     basis = _basis_for(args, data.shape[1])
     if args.strategy == "extend-columns":
-        known = [load_model(p) for p in args.known or []]
-        for m in known:
-            if not isinstance(m, ScalarFunctionModel):
-                raise ValidationError("--known files must hold scalar models")
+        known = [_load_model(p, ScalarFunctionModel) for p in args.known or []]
         basis = model_fit.extend_degenerate_columns(basis, known, args.degree)
     model, trace = _elbow_fit(data, basis, args, config)
     if args.strategy == "extend-columns":
@@ -212,7 +215,7 @@ def cmd_find_vf(args) -> None:
 
 
 def cmd_find_invariants(args) -> None:
-    fields = load_model(args.vf)
+    fields = _load_model(args.vf, VectorFieldModel)
     data, _ = read_csv(args.data)
     basis = _basis_for(args, data.shape[1], include_constant=False)
     models, trace = vfield.estimate_invariants(
@@ -230,7 +233,7 @@ def cmd_find_invariants(args) -> None:
 
 
 def cmd_flow_param(args) -> None:
-    fields = load_model(args.vf)
+    fields = _load_model(args.vf, VectorFieldModel)
     data, _ = read_csv(args.data)
     basis = _basis_for(args, data.shape[1], include_constant=False)
     result = vfield.estimate_flow_parameter(fields, data, basis)
@@ -241,7 +244,7 @@ def cmd_flow_param(args) -> None:
 
 
 def cmd_flow(args) -> None:
-    field = load_model(args.field)
+    field = _load_model(args.field, VectorFieldModel, BasisVectorField)
     trajectory = vfield.flow_integrate(
         field, _parse_vector(args.x0), args.t, args.steps
     )
@@ -249,8 +252,8 @@ def cmd_flow(args) -> None:
 
 
 def cmd_sim(args) -> None:
-    X = load_model(args.truth)
-    X_hat = load_model(args.estimate)
+    X = _load_model(args.truth, VectorFieldModel, BasisVectorField)
+    X_hat = _load_model(args.estimate, VectorFieldModel, BasisVectorField)
     if args.data:
         domain = domain_from_data(read_csv(args.data)[0])
     elif args.lower and args.upper:
@@ -270,10 +273,9 @@ def cmd_sim(args) -> None:
 
 def cmd_discrete(args) -> None:
     data, _ = read_csv(args.data)
-    model = load_model(args.model)
-    if args.family == "density-rotation":
-        if not isinstance(model, KdeModel):
-            raise ValidationError("density-rotation needs a KDE model")
+    density = args.family == "density-rotation"
+    model = _load_model(args.model, KdeModel if density else ScalarFunctionModel)
+    if density:
         result = discrete.fit_density_rotation(model, data, args.theta_min)
         out = result.to_dict()
         if args.reference:
@@ -283,18 +285,17 @@ def cmd_discrete(args) -> None:
             )
         save_json(out, args.out)
         return
-    if not isinstance(model, ScalarFunctionModel):
-        raise ValidationError("discrete fitting needs a scalar model")
     if args.family == "reflection":
         family = discrete.reflection_family()
     elif args.family == "rotation":
         family = discrete.rotation_family(args.lo, args.hi)
     else:
+        bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
         family = discrete.user_linear_family(
             load_json(args.entries)["entries"],
             args.n_params,
-            constraint="interval" if args.lo is not None else "unit-norm",
-            interval=(args.lo, args.hi) if args.lo is not None else None,
+            constraint="unit-norm" if bounds is None else "interval",
+            interval=bounds,
         )
     result = discrete.fit_discrete(model, data, family, _opt_config(args))
     save_json(result.to_dict(), args.out)
@@ -317,8 +318,6 @@ def cmd_transform(args) -> None:
     if args.invariants:
         spec = load_json(args.invariants)
         for i, d in enumerate(spec["models"]):
-            from .serialize import model_from_dict
-
             model = model_from_dict(d)
             if model.basis.dimension != data.shape[1]:
                 raise ValidationError("invariant dimension mismatch")
@@ -330,7 +329,7 @@ def cmd_transform(args) -> None:
         columns.append(np.arctan2(data[:, 1], data[:, 0]))
         header.append("theta")
     elif args.flow_param:
-        model = load_model(args.flow_param)
+        model = _load_model(args.flow_param, ScalarFunctionModel)
         if model.basis.dimension != data.shape[1]:
             raise ValidationError("flow-parameter dimension mismatch")
         columns.append(model(data))
@@ -344,8 +343,8 @@ def cmd_grid(args) -> None:
     model = load_model(args.model)
     lower = _parse_vector(args.lower)
     upper = _parse_vector(args.upper)
-    if lower.size != upper.size or np.any(lower >= upper):
-        raise ValidationError("need lower < upper of equal length")
+    if lower.size != upper.size or np.any(lower >= upper) or args.resolution < 1:
+        raise ValidationError("need lower < upper of equal length, resolution >= 1")
     axes = [np.linspace(lo, hi, args.resolution) for lo, hi in zip(lower, upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])

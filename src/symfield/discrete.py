@@ -4,11 +4,15 @@ Fits the parameters of a transformation family so that a fitted function
 (or an estimated density) is preserved: reflections about a line through
 the origin, planar rotations by a fixed angle, and user-supplied linear
 families whose matrix entries are expression trees over the parameters.
+The multi-start finite-difference descent runs its starts and probes in
+lockstep: each epoch transforms the data by every probe's matrix at once and
+calls f once on all the transformed points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -29,28 +33,33 @@ __all__ = [
 ]
 
 
-def eval_expression(tree, params: np.ndarray) -> float:
-    """Evaluate a JSON-style expression tree over the parameter vector."""
+def eval_expression(tree, params: np.ndarray):
+    """Evaluate a JSON-style expression tree at a parameter vector (a float)
+    or at each row of a (k, n_params) stack (k values)."""
+    P = np.asarray(params, dtype=float)
+    if P.ndim == 1:
+        return float(eval_expression(tree, P[None])[0])
     if isinstance(tree, (int, float)):
-        return float(tree)
+        return np.full(len(P), float(tree))
     if "const" in tree:
-        return float(tree["const"])
+        return np.full(len(P), float(tree["const"]))
     if "param" in tree:
-        return float(params[int(tree["param"])])
+        return P[:, int(tree["param"])]
     op = tree["op"]
-    args = [eval_expression(a, params) for a in tree.get("args", [])]
+    args = [eval_expression(a, P) for a in tree.get("args", [])]
+    # left-to-right folds, so a row's value never depends on the stack size
     if op == "add":
-        return float(np.sum(args))
+        return reduce(np.add, args, np.zeros(len(P)))
     if op == "mul":
-        return float(np.prod(args))
+        return reduce(np.multiply, args, np.ones(len(P)))
     if op == "neg":
         return -args[0]
     if op == "sin":
-        return float(np.sin(args[0]))
+        return np.sin(args[0])
     if op == "cos":
-        return float(np.cos(args[0]))
+        return np.cos(args[0])
     if op == "pow":
-        return float(args[0] ** int(tree["exponent"]))
+        return args[0] ** int(tree["exponent"])
     raise ValueError(f"unknown expression op {op!r}")
 
 
@@ -71,29 +80,29 @@ class ParametricFamily:
         if self.constraint not in ("unit-norm", "interval"):
             raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.constraint == "interval":
-            if self.interval is None or self.interval[0] >= self.interval[1]:
-                raise ValueError("interval constraint needs (lo, hi), lo < hi")
+            bounds = np.array(self.interval, dtype=float)  # None becomes nan
+            if bounds.shape != (2,) or not (
+                    np.isfinite(bounds).all() and bounds[0] < bounds[1]):
+                raise ValueError("interval constraint needs finite lo < hi")
+            self.interval = tuple(bounds.tolist())
 
     def matrix(self, params: np.ndarray) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
+        """The matrix at a parameter vector; a (k, n_params) stack gives k."""
+        P = np.asarray(params, dtype=float)
+        if P.ndim == 1:
+            return self.matrix(P[None])[0]
         if self.kind == "reflection-2d":
-            a, b = params / np.linalg.norm(params)
-            return np.array(
-                [[b * b - a * a, -2 * a * b], [-2 * a * b, a * a - b * b]]
-            )
-        if self.kind == "rotation-2d":
-            (theta,) = params
-            c, s = np.cos(theta), np.sin(theta)
-            return np.array([[c, s], [-s, c]])
-        M = np.array(
-            [[eval_expression(e, params) for e in row] for row in self.entries]
-        )
+            a, b = (P / np.linalg.norm(P, axis=1, keepdims=True)).T
+            rows = [[b * b - a * a, -2 * a * b], [-2 * a * b, a * a - b * b]]
+        elif self.kind == "rotation-2d":
+            c, s = np.cos(P[:, 0]), np.sin(P[:, 0])
+            rows = [[c, s], [-s, c]]
+        else:
+            rows = [[eval_expression(e, P) for e in row] for row in self.entries]
+        M = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
         if not np.all(np.isfinite(M)):
             raise ValueError("family matrix is not finite")
         return M
-
-    def transform(self, points: np.ndarray, params: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(points, dtype=float)) @ self.matrix(params).T
 
 
 def reflection_family() -> ParametricFamily:
@@ -134,25 +143,21 @@ class DiscreteFitResult:
         }
 
 
-def _residual_loss(f, data, family, params, loss_kind):
-    r = f(family.transform(data, params)) - f(data)
+def _residual_losses(f, data, base, family, P, loss_kind) -> np.ndarray:
+    """Residual loss at each row of P, with base = f(data): one call of f."""
+    points = data @ family.matrix(P).swapaxes(-1, -2)
+    r = f(points.reshape(-1, data.shape[1])).reshape(len(P), -1) - base
     if loss_kind == "mean-squared":
-        return float(np.mean(r * r))
-    return float(np.mean(np.abs(r)))
+        return np.mean(r * r, axis=1)
+    return np.mean(np.abs(r), axis=1)
+
+
+def _residual_loss(f, data, family, params, loss_kind) -> float:
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    return float(_residual_losses(f, data, f(data), family, [params], loss_kind)[0])
 
 
 _FD_STEP = 1e-6
-
-
-def _fd_gradient(objective, params):
-    g = np.zeros_like(params)
-    for i in range(params.size):
-        up = params.copy()
-        dn = params.copy()
-        up[i] += _FD_STEP
-        dn[i] -= _FD_STEP
-        g[i] = (objective(up) - objective(dn)) / (2 * _FD_STEP)
-    return g
 
 
 def fit_discrete(
@@ -165,58 +170,50 @@ def fit_discrete(
     """Minimize the transformation residual of f over the family parameters.
 
     Unit-norm families run Riemannian descent on the parameter sphere;
-    interval families run gradient descent with clamping.  Multi-start with
+    interval families run gradient descent with clamping; gradients are
+    central differences.  The starts run in lockstep: one call of f per
+    epoch evaluates every start's 2 n_params probes.  Multi-start with
     deterministic tie-breaking by (loss, parameters).
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != family.dimension:
         raise ValueError("family dimension does not match data")
+    base = f(data)
 
-    def objective(p):
-        return _residual_loss(f, data, family, p, config.loss)
+    def losses(P):
+        return _residual_losses(f, data, base, family, P, config.loss)
 
-    rng = np.random.default_rng(config.seed)
+    n = family.n_params
     if family.constraint == "unit-norm":
-        starts = [
-            retract(np.zeros((family.n_params, 1)),
-                    rng.standard_normal((family.n_params, 1)))[:, 0]
-            for _ in range(n_starts)
-        ]
+        G = np.random.default_rng(config.seed).standard_normal((n_starts, n, 1))
+        P = retract(np.zeros_like(G), G)[:, :, 0]
     else:
         lo, hi = family.interval
-        starts = [
-            np.full(family.n_params, lo + (hi - lo) * (i + 0.5) / n_starts)
-            for i in range(n_starts)
-        ]
+        mids = lo + (hi - lo) * (np.arange(n_starts) + 0.5) / n_starts
+        P = np.repeat(mids[:, None], n, axis=1)
 
-    best = None
-    for p0 in starts:
-        p = p0.copy()
-        acc = np.zeros_like(p)
-        for _ in range(config.epochs):
-            g = _fd_gradient(objective, p)
-            if config.algorithm == "riemannian-adagrad":
-                step = config.learning_rate * g / np.sqrt(
-                    acc + config.adagrad_epsilon
-                )
-                acc += g * g
-            else:
-                step = config.learning_rate * g
-            if family.constraint == "unit-norm":
-                W = p[:, None]
-                p = retract(W, -tangent_project(W, step[:, None]))[:, 0]
-            else:
-                lo, hi = family.interval
-                p = np.clip(p - step, lo, hi)
-        loss = objective(p)
-        key = (loss, tuple(p))
-        if best is None or key < best[0]:
-            best = (key, p, loss)
+    # probe rows (start, sign, i): P[start] +- _FD_STEP in coordinate i
+    H = np.stack([np.eye(n), -np.eye(n)]) * _FD_STEP
+    acc = np.zeros_like(P)
+    for _ in range(config.epochs):
+        L = losses((P[:, None, None] + H).reshape(-1, n)).reshape(n_starts, 2, n)
+        g = (L[:, 0] - L[:, 1]) / (2 * _FD_STEP)
+        if config.algorithm == "riemannian-adagrad":
+            step = config.learning_rate * g / np.sqrt(acc + config.adagrad_epsilon)
+            acc += g * g
+        else:
+            step = config.learning_rate * g
+        if family.constraint == "unit-norm":
+            W = P[:, :, None]
+            P = retract(W, -tangent_project(W, step[:, :, None]))[:, :, 0]
+        else:
+            P = np.clip(P - step, lo, hi)
 
-    _, p, loss = best
+    final = losses(P)
+    k = min(range(n_starts), key=lambda i: (final[i], tuple(P[i])))
+    p, loss = P[k].copy(), float(final[k])
     boundary = False
     if family.constraint == "interval":
-        lo, hi = family.interval
         tol = 1e-6 * (hi - lo)
         boundary = bool(np.any(p - lo < tol) or np.any(hi - p < tol))
     if family.constraint == "unit-norm":

@@ -128,6 +128,8 @@ def model_to_dict(model, centers_file: str | None = None) -> dict:
 
 
 def model_from_dict(d: dict, base_dir: str = "."):
+    if not isinstance(d, dict):
+        raise ValueError("a model JSON must be an object")
     kind = d["type"]
     if kind == "scalar":
         return ScalarFunctionModel(

@@ -339,6 +339,58 @@ def test_discrete_command_reflection(tmp_path):
     assert abs(b) <= 1e-3
 
 
+@pytest.mark.parametrize("family,bounds", [
+    ("rotation", []),
+    ("rotation", ["--lo", "1.0"]),
+    ("rotation", ["--lo", "nan", "--hi", "3.0"]),
+    ("user-linear", ["--lo", "1.0"]),
+    ("user-linear", ["--hi", "3.0"]),
+])
+def test_discrete_interval_needs_finite_bounds(tmp_path, monkeypatch,
+                                               family, bounds):
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0}),
+               "f.json")
+    save_json({"entries": [[{"op": "cos", "args": [{"param": 0}]}, 0],
+                           [0, {"op": "cos", "args": [{"param": 0}]}]]},
+              "entries.json")
+    assert run("discrete", "--model", "f.json", "--data", "d.csv",
+               "--family", family, "--entries", "entries.json", *bounds,
+               "--out", "r.json") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sim", "--truth", "f.json", "--estimate", "vf.json", "--data", "d.csv"],
+    ["sim", "--truth", "vf.json", "--estimate", "f.json", "--data", "d.csv"],
+    ["flow", "--field", "f.json", "--x0", "1,0", "--t", "1"],
+    ["flow", "--field", "list.json", "--x0", "1,0", "--t", "1"],
+    ["grid", "--model", "list.json", "--lower", "0,0", "--upper", "1,1"],
+    ["find-invariants", "--vf", "f.json", "--data", "d.csv"],
+    ["flow-param", "--vf", "f.json", "--data", "d.csv"],
+    ["transform", "--data", "d.csv", "--flow-param", "vf.json"],
+])
+def test_wrong_model_type_fails(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "vf.json")
+    (tmp_path / "list.json").write_text("[1, 2]\n")
+    assert run(*command, "--out", "out.csv") == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_grid_resolution_below_one_fails(tmp_path):
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}),
+               str(tmp_path / "m.json"))
+    for resolution in ("0", "-3"):
+        assert run("grid", "--model", tmp_path / "m.json", "--lower", "0,0",
+                   "--upper", "1,1", "--resolution", resolution,
+                   "--out", tmp_path / "g.csv") == 2
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_cli_import_does_not_load_scipy_optimize():
     """Stages that never fit a density rotation skip scipy.optimize's import."""
     src = os.path.dirname(os.path.dirname(sf.__file__))

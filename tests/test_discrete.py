@@ -16,6 +16,7 @@ from symfield.discrete import (
     _residual_loss,
 )
 from symfield.features import monomial_basis
+from symfield.manifold import RetractionSingularError, retract, tangent_project
 from symfield.model_fit import kde_fit
 
 CFG = sf.OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.05, 400)
@@ -166,3 +167,167 @@ def test_family_validation():
         rotation_family(2.0, 1.0)
     with pytest.raises(ValueError):
         sf.ParametricFamily("spiral", "unit-norm", 1, 2)
+
+
+@pytest.mark.parametrize("interval", [
+    None, (1.0,), (None, None), (1.0, None), (np.nan, 2.0), (0.0, np.inf),
+    (1.0, 1.0), ("a", 1.0), (1.0, 2.0, 3.0),
+])
+def test_interval_family_needs_finite_ordered_bounds(interval):
+    with pytest.raises(ValueError):
+        sf.ParametricFamily("rotation-2d", "interval", 1, 2, interval=interval)
+
+
+def _p(i):
+    return {"param": i}
+
+
+def _op(op, *args, **extra):
+    return {"op": op, "args": list(args), **extra}
+
+
+ROTATION_ENTRIES = [
+    [_op("cos", _p(0)), _op("sin", _p(0))],
+    [_op("neg", _op("sin", _p(0))), _op("cos", _p(0))],
+]
+# the reflection about a x + b y = 0 for unit (a, b)
+REFLECTION_ENTRIES = [
+    [_op("add", _op("pow", _p(1), exponent=2),
+         _op("neg", _op("pow", _p(0), exponent=2))),
+     _op("mul", {"const": -2}, _p(0), _p(1))],
+    [_op("mul", {"const": -2}, _p(0), _p(1)),
+     _op("add", _op("pow", _p(0), exponent=2),
+         _op("neg", _op("pow", _p(1), exponent=2)))],
+]
+# a symmetric matrix over three parameters, to exercise n_params > 2
+SYMMETRIC_ENTRIES = [
+    [_op("add", _p(0), _op("mul", {"const": 0.5}, _p(2))), _p(1)],
+    [_p(1), _op("add", _op("cos", _p(2)), 1.0, _op("neg", _p(0)))],
+]
+
+
+def _reference_fit(f, data, family, config, n_starts=8, h=1e-6):
+    """fit_discrete one start at a time: scalar central differences and a
+    per-start retraction or clamp, as before the starts ran in lockstep."""
+    def objective(p):
+        r = f(data @ family.matrix(p).T) - f(data)
+        if config.loss == "mean-squared":
+            return float(np.mean(r * r))
+        return float(np.mean(np.abs(r)))
+
+    n = family.n_params
+    rng = np.random.default_rng(config.seed)
+    if family.constraint == "unit-norm":
+        starts = [retract(np.zeros((n, 1)), rng.standard_normal((n, 1)))[:, 0]
+                  for _ in range(n_starts)]
+    else:
+        lo, hi = family.interval
+        starts = [np.full(n, lo + (hi - lo) * (i + 0.5) / n_starts)
+                  for i in range(n_starts)]
+    best = None
+    for p in starts:
+        acc = np.zeros(n)
+        for _ in range(config.epochs):
+            g = np.zeros(n)
+            for i in range(n):
+                up, dn = p.copy(), p.copy()
+                up[i] += h
+                dn[i] -= h
+                g[i] = (objective(up) - objective(dn)) / (2 * h)
+            if config.algorithm == "riemannian-adagrad":
+                step = config.learning_rate * g / np.sqrt(
+                    acc + config.adagrad_epsilon)
+                acc += g * g
+            else:
+                step = config.learning_rate * g
+            if family.constraint == "unit-norm":
+                W = p[:, None]
+                p = retract(W, -tangent_project(W, step[:, None]))[:, 0]
+            else:
+                p = np.clip(p - step, lo, hi)
+        key = (objective(p), tuple(p))
+        if best is None or key < best[0]:
+            best = (key, p)
+    (loss, _), p = best
+    if family.constraint == "unit-norm" and p[np.argmax(np.abs(p))] < 0:
+        p = -p
+    return p, loss
+
+
+def _reference_cases():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2, 2, 40)
+    parabola = np.column_stack([x, x**2])
+    plane = rng.standard_normal((40, 2))
+    f_parabola = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
+    f_three = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
+    f_mixed = poly_model(monomial_basis(2, 2),
+                         {(2, 0): 1.0, (1, 1): 0.5, (0, 2): 2.0, (1, 0): 0.3})
+    return {
+        "reflection": (f_parabola, parabola, reflection_family()),
+        "rotation": (f_three, plane, rotation_family(1.0, 3.0)),
+        "user-linear-unit-norm": (
+            f_parabola, parabola, user_linear_family(REFLECTION_ENTRIES, 2)),
+        "user-linear-three-params": (
+            f_mixed, plane, user_linear_family(SYMMETRIC_ENTRIES, 3)),
+        "user-linear-interval": (
+            f_three, plane, user_linear_family(
+                ROTATION_ENTRIES, 1, "interval", (1.0, 3.0))),
+    }
+
+
+@pytest.mark.parametrize("algorithm", ["riemannian-adagrad", "riemannian-sgd"])
+@pytest.mark.parametrize("loss", ["mean-absolute", "mean-squared"])
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_lockstep_fit_matches_per_start_reference(case, loss, algorithm):
+    f, data, family = _reference_cases()[case]
+    cfg = sf.OptimizerConfig(algorithm, loss, 0.05, 40, seed=5)
+    result = fit_discrete(f, data, family, cfg)
+    p, final_loss = _reference_fit(f, data, family, cfg)
+    np.testing.assert_allclose(result.parameters, p, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(result.final_loss, final_loss,
+                               rtol=1e-6, atol=1e-18)
+
+
+@pytest.mark.parametrize("entries,n_params", [
+    (ROTATION_ENTRIES, 1), (REFLECTION_ENTRIES, 2), (SYMMETRIC_ENTRIES, 3),
+])
+def test_stacked_matrix_and_expressions_equal_per_row(entries, n_params):
+    P = np.random.default_rng(12).standard_normal((7, n_params))
+    families = [user_linear_family(entries, n_params)]
+    if n_params == 1:
+        families.append(rotation_family(-5.0, 5.0))
+    if n_params == 2:
+        families.append(reflection_family())
+    for family in families:
+        M = family.matrix(P)
+        assert M.shape == (7, 2, 2)
+        for k in range(7):
+            assert np.array_equal(M[k], family.matrix(P[k]))
+    for row in entries:
+        for tree in row:
+            values = eval_expression(tree, P)
+            assert values.shape == (7,)
+            assert [float(v) for v in values] == [
+                eval_expression(tree, P[k]) for k in range(7)]
+    assert eval_expression(2.5, P).tolist() == [2.5] * 7
+
+
+def test_stacked_retract_matches_per_matrix_and_flags_singular():
+    rng = np.random.default_rng(13)
+    W = np.stack([retract(np.zeros((4, 2)), rng.standard_normal((4, 2)))
+                  for _ in range(5)])
+    T = 0.1 * rng.standard_normal((5, 4, 2))
+    stacked = retract(W, tangent_project(W, T))
+    for k in range(5):
+        assert np.array_equal(stacked[k], retract(W[k], tangent_project(W[k], T[k])))
+    # one rank-deficient matrix anywhere in the stack is refused
+    T[3] = -W[3]
+    T[3][:, 1] += W[3][:, 0]
+    with pytest.raises(RetractionSingularError):
+        retract(W, T)
+    # the rank test is relative to each matrix's own scale: a tiny full-rank
+    # matrix next to a huge one is still retracted
+    mixed = np.stack([1e6 * np.eye(3)[:, :2], 1e-7 * np.eye(3)[:, :2]])
+    assert np.array_equal(retract(mixed, np.zeros_like(mixed))[1],
+                          np.eye(3)[:, :2])
