@@ -290,9 +290,14 @@ def cmd_discrete(args) -> None:
     elif args.family == "rotation":
         family = discrete.rotation_family(args.lo, args.hi)
     else:
+        if args.entries is None:
+            raise ValidationError("user-linear needs --entries")
+        spec = load_json(args.entries)
+        if not (isinstance(spec, dict) and "entries" in spec):
+            raise ValidationError(f"{args.entries} is not an object holding \"entries\"")
         bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
         family = discrete.user_linear_family(
-            load_json(args.entries)["entries"],
+            spec["entries"],
             args.n_params,
             constraint="unit-norm" if bounds is None else "interval",
             interval=bounds,

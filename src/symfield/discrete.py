@@ -63,6 +63,42 @@ def eval_expression(tree, params: np.ndarray):
     raise ValueError(f"unknown expression op {op!r}")
 
 
+_UNARY_OPS = ("neg", "sin", "cos", "pow")
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_expression(tree, n_params: int) -> None:
+    """Raise ValueError unless eval_expression can evaluate tree at a vector
+    of n_params parameters."""
+    if _is_number(tree):
+        return
+    if not isinstance(tree, dict):
+        raise ValueError(f"expression node {tree!r} is not a number or an object")
+    if "const" in tree:
+        if not _is_number(tree["const"]):
+            raise ValueError(f"const {tree['const']!r} is not a number")
+        return
+    if "param" in tree:
+        if not (_is_number(tree["param"], int) and 0 <= tree["param"] < n_params):
+            raise ValueError(
+                f"param index {tree['param']!r} is not an integer in [0, {n_params})"
+            )
+        return
+    op = tree.get("op")
+    if op not in ("add", "mul") + _UNARY_OPS:
+        raise ValueError(f"unknown expression op {op!r}")
+    args = tree.get("args", [])
+    if not isinstance(args, list) or (op in _UNARY_OPS and len(args) != 1):
+        raise ValueError(f"op {op!r} has arguments {args!r}")
+    if op == "pow" and not _is_number(tree.get("exponent"), int):
+        raise ValueError("pow needs an integer exponent")
+    for arg in args:
+        _check_expression(arg, n_params)
+
+
 @dataclass
 class ParametricFamily:
     """A parameterized linear transformation family with a constraint."""
@@ -79,12 +115,25 @@ class ParametricFamily:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.constraint not in ("unit-norm", "interval"):
             raise ValueError(f"unknown constraint {self.constraint!r}")
+        if self.n_params < 1:
+            raise ValueError("a family needs n_params >= 1")
         if self.constraint == "interval":
             bounds = np.array(self.interval, dtype=float)  # None becomes nan
             if bounds.shape != (2,) or not (
                     np.isfinite(bounds).all() and bounds[0] < bounds[1]):
                 raise ValueError("interval constraint needs finite lo < hi")
             self.interval = tuple(bounds.tolist())
+        if self.kind == "user-linear":
+            n = self.dimension
+            if not (isinstance(self.entries, list) and len(self.entries) == n >= 1
+                    and all(isinstance(row, list) and len(row) == n
+                            for row in self.entries)):
+                raise ValueError(
+                    f"entries must be a non-empty n x n list of lists, n = {n}"
+                )
+            for row in self.entries:
+                for tree in row:
+                    _check_expression(tree, self.n_params)
 
     def matrix(self, params: np.ndarray) -> np.ndarray:
         """The matrix at a parameter vector; a (k, n_params) stack gives k."""
@@ -123,7 +172,7 @@ def user_linear_family(
         "user-linear",
         constraint,
         n_params,
-        len(entries),
+        len(entries) if isinstance(entries, list) else 0,
         interval=interval,
         entries=entries,
     )

@@ -292,21 +292,69 @@ def estimate_flow_parameter(
     )
 
 
+def _velocity(field):
+    """y -> alpha(y) as one (n, m) coefficient matrix over one basis.
+
+    A VectorFieldModel gives its basis and field 0's blocks; a
+    BasisVectorField gives the union of its component bases, with each
+    coefficient at its atom's index.  A polynomial basis evaluates its atoms
+    as one product over a table of coordinate powers; any other basis takes a
+    design-matrix row.  Each power takes a scalar exponent and each component
+    is its own (1, m) @ (m,) product, as in FeatureAtom.values and
+    ScalarFunctionModel, so a field over one basis gives the same bits as
+    evaluating its components one by one.
+    """
+    if isinstance(field, VectorFieldModel):
+        basis, C = field.basis, field.blocks(0)
+    else:
+        basis = FeatureBasis(field.dimension)
+        for comp in field.components:
+            basis = basis.extend(comp.basis.atoms)
+        C = np.zeros((field.dimension, len(basis)))
+        for row, comp in zip(C, field.components):
+            row[[basis.index(a) for a in comp.basis.atoms]] = comp.coefficients
+    rows = C[:, None, :]
+    if not basis.is_polynomial():
+        return lambda y: (rows @ design_matrix(basis, y[None, :])[0])[:, 0]
+    E = np.array([a.exponents for a in basis.atoms], dtype=int).reshape(
+        len(basis), basis.dimension
+    )
+    # powers[e, j] = y_j ** e; atom k's factors are powers.flat[index[k]]
+    powers = np.ones((E.max(initial=0) + 1, basis.dimension))
+    index = E * basis.dimension + np.arange(basis.dimension)
+
+    def velocity(y):
+        for e in range(1, len(powers)):
+            powers[e] = y ** e
+        return (rows @ powers.take(index).prod(axis=1))[:, 0]
+
+    return velocity
+
+
 def flow_integrate(
     field, x0, t: float, steps: int
 ) -> np.ndarray:
     """Classical fixed-step RK4 trajectory of dx/dt = alpha(x).
 
+    The velocity is built once per call (``_velocity``): each RK4 stage
+    multiplies one (n, m) coefficient matrix by the atom values, which a
+    polynomial basis takes from one product over a table of coordinate
+    powers, indexed by its (m, n) exponent table, not from a design-matrix
+    row.  x0 must be a finite length-n vector and t finite.
+
     Returns the (steps + 1, n) array of states including the start point.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if isinstance(field, VectorFieldModel):
-        field = field.field(0)
-    x = np.asarray(x0, dtype=float).copy()
-
-    def velocity(y):
-        return field(y[None, :])[0]
+    x = np.array(x0, dtype=float)
+    if x.shape != (field.dimension,):
+        raise ValueError(
+            f"x0 must be a vector of length {field.dimension}, "
+            f"got shape {x.shape}"
+        )
+    if not (np.all(np.isfinite(x)) and np.isfinite(t)):
+        raise ValueError("x0 and t must be finite")
+    velocity = _velocity(field)
 
     h = t / steps
     out = np.empty((steps + 1, x.size))

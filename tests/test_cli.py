@@ -174,6 +174,44 @@ def test_flow_divergence_exit_code(tmp_path):
                "--out", tmp_path / "traj.csv") == 3
 
 
+@pytest.mark.parametrize("field,x0,t,code", [
+    ("rot", "nan,1", "1", 2),
+    ("rot", "1,0", "inf", 2),
+    ("rot", "1,0", "nan", 2),
+    ("rot", "2", "1", 2),
+    ("rot", "2,1,0", "1", 2),
+    ("blowup", "1,0", "5", 3),
+])
+def test_flow_input_exit_codes(tmp_path, monkeypatch, field, x0, t, code):
+    """Bad starts and times are validation errors; divergence is numerical."""
+    monkeypatch.chdir(tmp_path)
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    save_model(poly_field(2, 2, {(2, 0): 1.0}, {}), "blowup.json")
+    assert run("flow", "--field", f"{field}.json", "--x0", x0, "--t", t,
+               "--steps", "200", "--out", "traj.csv") == code
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_demo_06_pipeline(tmp_path, monkeypatch):
+    """demos/06_cli_pipeline.sh's stages in process, with the demo's arguments:
+    the flow of the estimated field keeps the fitted f constant."""
+    monkeypatch.chdir(tmp_path)
+    save_json({"loss": "mean-squared"}, "opt.json")
+    assert run("gen", "--name", "gaussian-quadratic", "--size", "2000",
+               "--seed", "0", "--out", "data.csv") == 0
+    assert run("fit-fn", "--data", "data.csv", "--degree", "2",
+               "--out", "f.json") == 0
+    assert run("find-vf", "--model", "f.json", "--data", "data.csv",
+               "--vf-degree", "1", "--c", "1", "--opt-config", "opt.json",
+               "--out", "field.json", "--trace-out", "trace.json") == 0
+    assert run("flow", "--field", "field.json", "--x0", "2,1", "--t", "3",
+               "--steps", "3000", "--out", "trajectory.csv") == 0
+    trajectory, _ = read_csv("trajectory.csv")
+    assert trajectory.shape == (3001, 2)
+    values = load_model("f.json")(trajectory)
+    assert np.abs(values - values[0]).max() <= 1e-3
+
+
 def test_transform_invariant_plus_angle(tmp_path):
     theta = np.linspace(0.1, 2.0, 25)
     data = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -357,6 +395,33 @@ def test_discrete_interval_needs_finite_bounds(tmp_path, monkeypatch,
               "entries.json")
     assert run("discrete", "--model", "f.json", "--data", "d.csv",
                "--family", family, "--entries", "entries.json", *bounds,
+               "--out", "r.json") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("entries,n_params", [
+    ({"entries": [[{"param": 1}, 0], [0, 1]]}, "1"),
+    ({"entries": [[{"op": "pow", "args": [{"param": 0}]}, 0], [0, 1]]}, "1"),
+    ({"entries": [[{"op": "exp", "args": [{"param": 0}]}, 0], [0, 1]]}, "1"),
+    ({"entries": [[1, 0], [0, 1], [0, 0]]}, "1"),
+    ({"entries": 5}, "1"),
+    ({"entries": [[1, 0], [0, 1]]}, "0"),
+    ([[1, 0], [0, 1]], "1"),  # a bare list, not an object
+    ({"matrix": [[1, 0], [0, 1]]}, "1"),
+    (None, "1"),  # no --entries at all
+])
+def test_discrete_user_linear_bad_entries_fail(tmp_path, monkeypatch,
+                                               entries, n_params):
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0}),
+               "f.json")
+    option = []
+    if entries is not None:
+        save_json(entries, "entries.json")
+        option = ["--entries", "entries.json"]
+    assert run("discrete", "--model", "f.json", "--data", "d.csv",
+               "--family", "user-linear", *option, "--n-params", n_params,
                "--out", "r.json") == 2
     assert not (tmp_path / "r.json").exists()
 

@@ -178,6 +178,45 @@ def test_interval_family_needs_finite_ordered_bounds(interval):
         sf.ParametricFamily("rotation-2d", "interval", 1, 2, interval=interval)
 
 
+@pytest.mark.parametrize("entries,n_params", [
+    ([[{"param": 1}, 0], [0, 1]], 1),  # index past n_params
+    ([[{"param": -1}, 0], [0, 1]], 1),
+    ([[{"param": 0.0}, 0], [0, 1]], 1),  # index not an integer
+    ([[{"param": "0"}, 0], [0, 1]], 1),
+    ([[{"param": True}, 0], [0, 1]], 2),
+    ([[{"op": "pow", "args": [{"param": 0}]}, 0], [0, 1]], 1),  # no exponent
+    ([[{"op": "pow", "args": [{"param": 0}], "exponent": 2.5}, 0], [0, 1]], 1),
+    ([[{"op": "pow", "args": [{"param": 0}], "exponent": "2"}, 0], [0, 1]], 1),
+    ([[{"op": "exp", "args": [{"param": 0}]}, 0], [0, 1]], 1),  # unknown op
+    ([[{"args": [{"param": 0}]}, 0], [0, 1]], 1),
+    ([[{"op": "neg", "args": []}, 0], [0, 1]], 1),  # unary op arity
+    ([[{"op": "add", "args": {"param": 0}}, 0], [0, 1]], 1),
+    ([[{"op": "add", "args": [{"op": "exp", "args": []}]}, 0], [0, 1]], 1),
+    ([[{"const": "two"}, 0], [0, 1]], 1),
+    ([["x", 0], [0, 1]], 1),
+    ([[None, 0], [0, 1]], 1),
+    ([[1, 0], [0]], 1),  # not n x n
+    ([[1, 0, 0], [0, 1, 0]], 1),
+    ([1, 0], 1),
+    ([], 1),
+    ({"entries": [[1, 0], [0, 1]]}, 1),
+    ("[[1, 0], [0, 1]]", 1),
+    ([[1, 0], [0, 1]], 0),  # no parameters
+])
+def test_user_linear_family_rejects_bad_entries(entries, n_params):
+    with pytest.raises(ValueError):
+        user_linear_family(entries, n_params)
+
+
+def test_user_linear_entries_must_match_dimension():
+    entries = [[{"param": 0}, 0], [0, 1]]
+    assert user_linear_family(entries, 1).dimension == 2
+    with pytest.raises(ValueError):
+        sf.ParametricFamily("user-linear", "unit-norm", 1, 3, entries=entries)
+    with pytest.raises(ValueError):
+        sf.ParametricFamily("user-linear", "unit-norm", 1, 2)
+
+
 def _p(i):
     return {"param": i}
 

@@ -3,8 +3,10 @@ import pytest
 
 import symfield as sf
 from conftest import poly_field, poly_model, rotation_field_2d
-from symfield.features import monomial_basis
+from symfield import vfield
+from symfield.features import FeatureAtom, monomial_basis, trig_extend
 from symfield.vfield import (
+    BasisVectorField,
     FlowDivergedError,
     VectorFieldModel,
     basis_restricted_search,
@@ -248,6 +250,99 @@ def test_flow_divergence_reported():
 def test_flow_requires_steps():
     with pytest.raises(ValueError):
         flow_integrate(rotation_field_2d(), [1.0, 0.0], 1.0, 0)
+
+
+@pytest.mark.parametrize("x0,t", [
+    ([1.0], 1.0), ([1.0, 0.0, 0.0], 1.0), ([[1.0, 0.0]], 1.0), (1.0, 1.0),
+    ([np.nan, 1.0], 1.0), ([np.inf, 0.0], 1.0),
+    ([1.0, 0.0], np.inf), ([1.0, 0.0], -np.inf), ([1.0, 0.0], np.nan),
+])
+def test_flow_rejects_bad_start_or_time(x0, t):
+    with pytest.raises(ValueError):
+        flow_integrate(rotation_field_2d(), x0, t, 10)
+
+
+def _reference_flow(field, x0, t, steps):
+    """flow_integrate before the velocity was built once: one field call per
+    RK4 stage, each component through its own design-matrix row."""
+    if isinstance(field, VectorFieldModel):
+        field = field.field(0)
+    x = np.asarray(x0, dtype=float).copy()
+
+    def velocity(y):
+        return field(y[None, :])[0]
+
+    h = t / steps
+    out = np.empty((steps + 1, x.size))
+    out[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            k1 = velocity(x)
+            k2 = velocity(x + 0.5 * h * k1)
+            k3 = velocity(x + 0.5 * h * k2)
+            k4 = velocity(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                raise FlowDivergedError(i)
+            out[i + 1] = x
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_polynomial_flow_bitwise_equals_reference(n, degree):
+    rng = np.random.default_rng(10 * n + degree)
+    basis = monomial_basis(n, degree)
+    # two fields, so field 0's blocks are a strided view of the columns
+    X = VectorFieldModel(basis, 0.3 * rng.standard_normal((n * len(basis), 2)))
+    x0 = rng.uniform(-1, 1, n)
+    assert np.array_equal(flow_integrate(X, x0, 0.7, 60),
+                          _reference_flow(X, x0, 0.7, 60))
+    # the form a saved field loads in: one shared basis, contiguous rows
+    single = VectorFieldModel(basis, X.columns[:, 0].copy()).field(0)
+    assert np.array_equal(flow_integrate(single, x0, 0.7, 60),
+                          _reference_flow(single, x0, 0.7, 60))
+
+
+def test_mixed_basis_field_flow_matches_reference():
+    rng = np.random.default_rng(3)
+    sin_x = FeatureAtom("sin", axis=0)
+    product = FeatureAtom("product", (0, 1, 0), factor=(
+        (FeatureAtom("monomial", (0, 0, 0)), 0.5), (sin_x, 1.0)))
+    bases = [
+        monomial_basis(3, 2).extend([product]),
+        trig_extend(monomial_basis(3, 0)),
+        monomial_basis(3, 1, include_constant=False),
+    ]
+    X = BasisVectorField([
+        sf.ScalarFunctionModel(b, 0.5 * rng.standard_normal(len(b)))
+        for b in bases
+    ])
+    x0 = rng.uniform(-1, 1, 3)
+    traj = flow_integrate(X, x0, 1.5, 150)
+    assert np.allclose(traj, _reference_flow(X, x0, 1.5, 150), rtol=1e-13, atol=0)
+
+
+def test_diverging_flow_fails_at_reference_step():
+    X = poly_field(1, 2, {(2,): 1.0})  # dx/dt = x^2 from x0 = 1
+    with pytest.raises(FlowDivergedError) as reference:
+        _reference_flow(X, [1.0], 2.0, 20)
+    with pytest.raises(FlowDivergedError) as fast:
+        flow_integrate(X, [1.0], 2.0, 20)
+    assert fast.value.step == reference.value.step
+
+
+def test_polynomial_flow_never_builds_a_design_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("design_matrix called")
+
+    monkeypatch.setattr(vfield, "design_matrix", refuse)
+    X = VectorFieldModel(monomial_basis(2, 2), np.arange(12.0) / 12)
+    flow_integrate(X, [0.1, 0.2], 0.5, 10)
+    flow_integrate(rotation_field_2d(), [1.0, 0.0], 0.5, 10)
+    trig = VectorFieldModel(trig_extend(monomial_basis(2, 0)), np.ones(10))
+    with pytest.raises(AssertionError):
+        flow_integrate(trig, [0.1, 0.2], 0.5, 10)
 
 
 # --- restricted basis search ------------------------------------------------
