@@ -26,8 +26,6 @@ from .features import (
     FeatureAtom,
     FeatureBasis,
     design_matrix,
-    evaluate,
-    jacobian,
     jacobian_stack,
     monomial_basis,
     trig_extend,

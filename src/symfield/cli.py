@@ -28,7 +28,12 @@ from .manifold import (
     OptimizerConfig,
     RetractionSingularError,
 )
-from .model_fit import EmptyLevelSetError, KdeModel, ScalarFunctionModel
+from .model_fit import (
+    EmptyLevelSetError,
+    KdeModel,
+    LevelSetModel,
+    ScalarFunctionModel,
+)
 from .serialize import (
     load_json,
     load_model,
@@ -53,9 +58,11 @@ NUMERICAL_ERRORS = (
 )
 
 
-# options that take a comma-separated vector; argparse reads a value with a
-# leading minus ("--x0 -1,0.5") as an option unless it is attached by "="
-VECTOR_OPTIONS = ("--x0", "--lower", "--upper", "--point")
+# options that take a number or a comma-separated vector; argparse reads a
+# value with a leading minus ("--x0 -1,0.5", "--t -1e-3") as an option
+# unless it is attached by "="
+NUMERIC_OPTIONS = ("--x0", "--lower", "--upper", "--point",
+                   "--t", "--lo", "--hi", "--theta-min")
 NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
@@ -197,7 +204,8 @@ def cmd_fit_kde(args) -> None:
 
 
 def cmd_find_vf(args) -> None:
-    provider = vfield.as_provider(load_model(args.model))
+    provider = vfield.as_provider(
+        _load_model(args.model, ScalarFunctionModel, LevelSetModel, KdeModel))
     data, _ = read_csv(args.data)
     config = _opt_config(args)
     if args.escalate:
@@ -322,8 +330,13 @@ def cmd_transform(args) -> None:
     columns, header = [], []
     if args.invariants:
         spec = load_json(args.invariants)
+        if not (isinstance(spec, dict) and isinstance(spec.get("models"), list)):
+            raise ValidationError(
+                f"{args.invariants} is not an object holding a \"models\" list")
         for i, d in enumerate(spec["models"]):
             model = model_from_dict(d)
+            if not isinstance(model, ScalarFunctionModel):
+                raise ValidationError(f"invariant {i + 1} is not a scalar model")
             if model.basis.dimension != data.shape[1]:
                 raise ValidationError("invariant dimension mismatch")
             columns.append(model(data))
@@ -345,7 +358,8 @@ def cmd_transform(args) -> None:
 
 
 def cmd_grid(args) -> None:
-    model = load_model(args.model)
+    model = _load_model(args.model, ScalarFunctionModel, LevelSetModel,
+                        KdeModel, BasisVectorField)
     lower = _parse_vector(args.lower)
     upper = _parse_vector(args.upper)
     if lower.size != upper.size or np.any(lower >= upper) or args.resolution < 1:
@@ -523,11 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_vector_values(argv: list[str]) -> list[str]:
-    """Rewrite "--x0 -1,0.5" as "--x0=-1,0.5" for every vector option."""
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--t -1e-3" as "--t=-1e-3" for every numeric option."""
     out = []
     for arg in argv:
-        if out and out[-1] in VECTOR_OPTIONS and NEGATIVE_VALUE.match(arg):
+        if out and out[-1] in NUMERIC_OPTIONS and NEGATIVE_VALUE.match(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -536,7 +550,7 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_vector_values(argv))
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         args.func(args)
     except NUMERICAL_ERRORS as exc:

@@ -4,13 +4,18 @@ Fits the parameters of a transformation family so that a fitted function
 (or an estimated density) is preserved: reflections about a line through
 the origin, planar rotations by a fixed angle, and user-supplied linear
 families whose matrix entries are expression trees over the parameters.
-The multi-start finite-difference descent runs its starts and probes in
-lockstep: each epoch transforms the data by every probe's matrix at once and
-calls f once on all the transformed points.
+Wherever the parameter set is one-dimensional (a rotation angle, a unit
+normal, a density rotation) one angle search finds the symmetry: a coarse
+grid, Brent's bounded minimisation on each local minimum, and the smallest
+angle of comparable loss.  Larger families run a multi-start
+finite-difference descent whose starts and probes advance in lockstep: each
+epoch transforms the data by every probe's matrix at once and calls f once
+on all the transformed points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -201,51 +206,117 @@ def _residual_losses(f, data, base, family, P, loss_kind) -> np.ndarray:
     return np.mean(np.abs(r), axis=1)
 
 
-def _residual_loss(f, data, family, params, loss_kind) -> float:
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    return float(_residual_losses(f, data, f(data), family, [params], loss_kind)[0])
-
-
+_GRID = 64  # both searches' coarse grids have _GRID + 2 angles
+_THIN = 4096  # points and centres in density rotation's coarse stage
+_N_STARTS = 8
 _FD_STEP = 1e-6
+_FIT_XATOL = 1e-10  # fit_discrete's angle tolerance
+_COARSE_XATOL = 1e-4  # density rotation's coarse and full-data tolerances
+_DENSITY_XATOL = 1e-5
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def fit_discrete(
-    f: ScalarFunctionModel,
-    data: np.ndarray,
-    family: ParametricFamily,
-    config: OptimizerConfig,
-    n_starts: int = 8,
-) -> DiscreteFitResult:
-    """Minimize the transformation residual of f over the family parameters.
+def _brent(loss, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """(x, loss(x)) minimizing loss on [a, b] by Brent's method (Brent 1973,
+    ch. 5): golden-section steps with parabolic interpolation.
 
-    Unit-norm families run Riemannian descent on the parameter sphere;
-    interval families run gradient descent with clamping; gradients are
-    central differences.  The starts run in lockstep: one call of f per
-    epoch evaluates every start's 2 n_params probes.  Multi-start with
-    deterministic tie-breaking by (loss, parameters).
+    Step for step the same as scipy.optimize.minimize_scalar(method="bounded")
+    with the given xatol and its default of at most 500 calls of loss.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[1] != family.dimension:
-        raise ValueError("family dimension does not match data")
-    base = f(data)
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = loss(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < 500:
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = loss(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return float(xf), float(fx)
 
-    def losses(P):
-        return _residual_losses(f, data, base, family, P, config.loss)
 
+def _angle_search(loss, grid: np.ndarray, xatol: float) -> float:
+    """The smallest angle whose loss is comparable to the best.
+
+    Evaluates loss on the grid, then refines every interior local minimum by
+    _brent between its two neighbours.  Every multiple of a generating angle
+    is a symmetry too, so among the refined minima the smallest angle whose
+    loss is at most 2 best + 1e-15 is the generator.  With no interior local
+    minimum the best grid point, an end, is returned.
+    """
+    vals = [loss(t) for t in grid]
+    candidates = [
+        _brent(loss, grid[i - 1], grid[i + 1], xatol)
+        for i in range(1, len(grid) - 1)
+        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]
+    ]
+    if not candidates:
+        i = int(np.argmin(vals))
+        candidates = [(float(grid[i]), vals[i])]
+    best = min(loss for _, loss in candidates)
+    return min(t for t, loss in candidates if loss <= 2.0 * best + 1e-15)
+
+
+def _lockstep_descent(losses, family: ParametricFamily, config: OptimizerConfig):
+    """Best of _N_STARTS central-difference descents run in lockstep: one
+    call of losses per epoch evaluates every start's 2 n_params probes."""
     n = family.n_params
     if family.constraint == "unit-norm":
-        G = np.random.default_rng(config.seed).standard_normal((n_starts, n, 1))
+        G = np.random.default_rng(config.seed).standard_normal((_N_STARTS, n, 1))
         P = retract(np.zeros_like(G), G)[:, :, 0]
     else:
         lo, hi = family.interval
-        mids = lo + (hi - lo) * (np.arange(n_starts) + 0.5) / n_starts
+        mids = lo + (hi - lo) * (np.arange(_N_STARTS) + 0.5) / _N_STARTS
         P = np.repeat(mids[:, None], n, axis=1)
 
     # probe rows (start, sign, i): P[start] +- _FD_STEP in coordinate i
     H = np.stack([np.eye(n), -np.eye(n)]) * _FD_STEP
     acc = np.zeros_like(P)
     for _ in range(config.epochs):
-        L = losses((P[:, None, None] + H).reshape(-1, n)).reshape(n_starts, 2, n)
+        L = losses((P[:, None, None] + H).reshape(-1, n)).reshape(_N_STARTS, 2, n)
         g = (L[:, 0] - L[:, 1]) / (2 * _FD_STEP)
         if config.algorithm == "riemannian-adagrad":
             step = config.learning_rate * g / np.sqrt(acc + config.adagrad_epsilon)
@@ -259,18 +330,55 @@ def fit_discrete(
             P = np.clip(P - step, lo, hi)
 
     final = losses(P)
-    k = min(range(n_starts), key=lambda i: (final[i], tuple(P[i])))
-    p, loss = P[k].copy(), float(final[k])
+    return P[min(range(_N_STARTS), key=lambda i: (final[i], tuple(P[i])))].copy()
+
+
+def fit_discrete(
+    f: ScalarFunctionModel,
+    data: np.ndarray,
+    family: ParametricFamily,
+    config: OptimizerConfig,
+) -> DiscreteFitResult:
+    """Minimize the transformation residual of f over the family parameters.
+
+    A one-dimensional parameter set is searched as an angle by
+    _angle_search: theta itself on an interval family with one parameter,
+    and p = (cos phi, sin phi) on a unit-norm family with two, with a grid
+    that overlaps one spacing past both ends of [0, 2 pi].  Only config.loss
+    is read then.  Larger parameter sets run the lockstep finite-difference
+    descent that config configures: Riemannian on the parameter sphere for
+    unit-norm families, clamped to the bounds for interval families.
+    """
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if data.shape[1] != family.dimension:
+        raise ValueError("family dimension does not match data")
+    base = f(data)
+
+    def losses(P):
+        return _residual_losses(f, data, base, family, P, config.loss)
+
+    n = family.n_params
+    if family.constraint == "interval" and n == 1:
+        grid, params = np.linspace(*family.interval, _GRID + 2), np.atleast_1d
+    elif family.constraint == "unit-norm" and n == 2:
+        grid = 2 * np.pi / _GRID * np.arange(-1, _GRID + 1)
+        params = lambda t: np.array([np.cos(t), np.sin(t)])
+    else:
+        grid = None
+    if grid is None:
+        p = _lockstep_descent(losses, family, config)
+    else:
+        p = params(_angle_search(
+            lambda t: float(losses(params(t)[None])[0]), grid, _FIT_XATOL))
+    if family.kind == "reflection-2d" and p[np.argmax(np.abs(p))] < 0:
+        p = -p  # S(-p) = S(p): report the normal with its largest entry positive
     boundary = False
     if family.constraint == "interval":
+        lo, hi = family.interval
         tol = 1e-6 * (hi - lo)
         boundary = bool(np.any(p - lo < tol) or np.any(hi - p < tol))
-    if family.constraint == "unit-norm":
-        # canonical sign: largest-magnitude parameter positive
-        k = np.argmax(np.abs(p))
-        if p[k] < 0:
-            p = -p
-    return DiscreteFitResult(p, loss, excluded_region_active=boundary)
+    return DiscreteFitResult(p, float(losses(p[None])[0]),
+                             excluded_region_active=boundary)
 
 
 def _rotate(points: np.ndarray, theta: float) -> np.ndarray:
@@ -278,27 +386,22 @@ def _rotate(points: np.ndarray, theta: float) -> np.ndarray:
     return points @ np.array([[c, s], [-s, c]]).T
 
 
+def _thin(arr: np.ndarray) -> np.ndarray:
+    """At most _THIN rows of arr, taken at an even stride."""
+    return arr[::max(1, arr.shape[0] // _THIN)][:_THIN]
+
+
 def fit_density_rotation(
-    kde: KdeModel,
-    data: np.ndarray,
-    theta_min: float,
-    config: OptimizerConfig | None = None,
-    grid_size: int = 64,
-    coarse_queries: int | None = 4096,
-    coarse_centers: int | None = 4096,
-    refine_xatol: float = 1e-5,
+    kde: KdeModel, data: np.ndarray, theta_min: float
 ) -> DiscreteFitResult:
-    """Rotation angle in (theta_min, 2 pi) matching the estimated density.
+    """Rotation angle in (theta_min, 2 pi - theta_min) matching the estimated
+    density.
 
-    Minimizes mean |p(S(theta) x_i) - p(x_i)| by a coarse angle grid
-    followed by bounded scalar refinement.  The coarse pass may thin both
-    query points and mixture centers (deterministic strides) to keep the
-    pairwise kernel sums affordable; refinement always uses the full model
-    and the full dataset.
+    Minimizes mean |p(S(theta) x_i) - p(x_i)|.  A coarse _angle_search
+    (xatol 1e-4) runs on at most _THIN query points and mixture centres,
+    thinned at even strides; one _brent run (xatol 1e-5) within a grid
+    spacing of its angle then uses the full model and the full dataset.
     """
-    # imported here: scipy.optimize is most of the package's import time
-    from scipy.optimize import minimize_scalar
-
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:
         raise ValueError("density rotation fitting is two-dimensional")
@@ -308,71 +411,22 @@ def fit_density_rotation(
     # theta_min of a full turn are just as trivial as small ones
     theta_max = 2.0 * np.pi - theta_min
 
-    def thin(arr, count):
-        if count is None or arr.shape[0] <= count:
-            return arr
-        stride = arr.shape[0] // count
-        return arr[::stride][:count]
+    def loss_with(model, points):
+        base = kde_eval(model, points)
+        return lambda theta: float(
+            np.mean(np.abs(kde_eval(model, _rotate(points, theta)) - base)))
 
-    coarse_data = thin(data, coarse_queries)
-    if coarse_centers is not None and kde.centers.shape[0] > coarse_centers:
-        stride = kde.centers.shape[0] // coarse_centers
-        coarse_kde = KdeModel(
-            kde.centers[::stride][:coarse_centers],
-            kde.weights[::stride][:coarse_centers],
-            kde.bandwidth,
-        )
-    else:
-        coarse_kde = kde
-
-    def loss_with(model, points, base):
-        def L(theta):
-            return float(
-                np.mean(np.abs(kde_eval(model, _rotate(points, theta)) - base))
-            )
-        return L
-
-    coarse_loss = loss_with(
-        coarse_kde, coarse_data, kde_eval(coarse_kde, coarse_data)
-    )
-    grid = np.linspace(theta_min, theta_max, grid_size + 2)
-    coarse_vals = np.array([coarse_loss(t) for t in grid])
-
-    # refine every interior local minimum of the coarse profile, then take
-    # the smallest angle whose loss is comparable to the best: every
-    # multiple of the generating angle is a symmetry, so the smallest
-    # comparable angle is the generator
-    candidates = []
-    for i in range(1, grid_size + 1):
-        if coarse_vals[i] <= coarse_vals[i - 1] and coarse_vals[i] <= coarse_vals[i + 1]:
-            res = minimize_scalar(
-                coarse_loss,
-                bounds=(grid[i - 1], grid[i + 1]),
-                method="bounded",
-                options={"xatol": max(refine_xatol, 1e-4)},
-            )
-            candidates.append((float(res.x), float(res.fun)))
-    if not candidates:
-        i = int(np.argmin(coarse_vals[1:-1])) + 1
-        candidates.append((float(grid[i]), float(coarse_vals[i])))
-
-    best_loss = min(loss for _, loss in candidates)
-    theta0 = min(
-        t for t, loss in candidates if loss <= 2.0 * best_loss + 1e-15
-    )
-
-    spacing = (theta_max - theta_min) / (grid_size + 1)
+    coarse = KdeModel(_thin(kde.centers), _thin(kde.weights), kde.bandwidth)
+    theta0 = _angle_search(
+        loss_with(coarse, _thin(data)),
+        np.linspace(theta_min, theta_max, _GRID + 2), _COARSE_XATOL)
+    spacing = (theta_max - theta_min) / (_GRID + 1)
     lo = max(theta_min, theta0 - spacing)
     hi = min(theta_max, theta0 + spacing)
-    full_loss = loss_with(kde, data, kde_eval(kde, data))
-    res = minimize_scalar(
-        full_loss, bounds=(lo, hi), method="bounded",
-        options={"xatol": refine_xatol},
-    )
-    theta = float(res.x)
-    boundary = lo == theta_min and theta - theta_min < 10.0 * refine_xatol
+    theta, loss = _brent(loss_with(kde, data), lo, hi, _DENSITY_XATOL)
+    boundary = lo == theta_min and theta - theta_min < 10.0 * _DENSITY_XATOL
     return DiscreteFitResult(
-        np.array([theta]), float(res.fun), excluded_region_active=boundary
+        np.array([theta]), loss, excluded_region_active=boundary
     )
 
 

@@ -19,8 +19,6 @@ __all__ = [
     "FeatureBasis",
     "monomial_basis",
     "trig_extend",
-    "evaluate",
-    "jacobian",
     "design_matrix",
     "jacobian_stack",
 ]
@@ -162,12 +160,6 @@ class FeatureBasis:
             self.dimension, tuple(a for a in self.atoms if not a.artificial)
         )
 
-    def drop_constant(self) -> "FeatureBasis":
-        const = FeatureAtom("monomial", (0,) * self.dimension)
-        return FeatureBasis(
-            self.dimension, tuple(a for a in self.atoms if a != const)
-        )
-
     def has_constant(self) -> bool:
         return FeatureAtom("monomial", (0,) * self.dimension) in self.atoms
 
@@ -229,13 +221,3 @@ def jacobian_stack(basis: FeatureBasis, points: np.ndarray) -> np.ndarray:
     if points.shape[1] != basis.dimension:
         raise ValueError("point dimension does not match basis")
     return np.stack([a.partials(points) for a in basis.atoms], axis=1)
-
-
-def evaluate(basis: FeatureBasis, point) -> np.ndarray:
-    """Vector of atom values b_k(point), length m."""
-    return design_matrix(basis, np.asarray(point, dtype=float)[None, :])[0]
-
-
-def jacobian(basis: FeatureBasis, point) -> np.ndarray:
-    """(m, n) matrix of partial derivatives at a single point."""
-    return jacobian_stack(basis, np.asarray(point, dtype=float)[None, :])[0]

@@ -72,6 +72,8 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
+        if not isinstance(d, dict):
+            raise ValueError("an optimizer configuration must be a JSON object")
         known = {
             k: d[k]
             for k in (

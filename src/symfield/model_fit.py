@@ -302,8 +302,8 @@ class KdeModel:
             raise ValueError("one weight per center required")
         if np.any(self.weights < 0) or self.weights.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError("bandwidth must be finite and positive")
 
     @property
     def dimension(self) -> int:

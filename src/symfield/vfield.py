@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+# escalate_vector_fields stops at the first family whose loss is below this
+ESCALATION_LOSS = 1e-4
+# estimate_flow_parameter flags an RMS residual of X(theta) - 1 above this
+FLOW_PARAMETER_RESIDUAL = 1e-3
+
+
 class FlowDivergedError(FloatingPointError):
     def __init__(self, step: int):
         super().__init__(f"flow state became non-finite at step {step}")
@@ -90,9 +96,6 @@ class VectorFieldModel:
                 for row in self.blocks(j)
             ]
         )
-
-    def fields(self) -> list["BasisVectorField"]:
-        return [self.field(j) for j in range(self.n_fields)]
 
 
 @dataclass
@@ -206,22 +209,19 @@ def escalate_vector_fields(
     data: np.ndarray,
     c: int,
     config: manifold.OptimizerConfig,
-    loss_threshold: float = 1e-4,
-    bases: list[FeatureBasis] | None = None,
 ):
     """Search low-complexity coefficient families first.
 
-    Returns (model, trace) of the first family whose final loss drops below
-    the threshold, or the best family when none does.  Searching small
-    dictionaries first sidesteps the X-versus-hX ambiguity.
+    Returns (model, trace) of the first family of degree_escalation_bases
+    whose final loss drops below ESCALATION_LOSS, or the best family when
+    none does.  Searching small dictionaries first sidesteps the
+    X-versus-hX ambiguity.
     """
     provider = as_provider(provider)
-    if bases is None:
-        bases = degree_escalation_bases(provider.dimension)
     best = None
-    for basis in bases:
+    for basis in degree_escalation_bases(provider.dimension):
         model, trace = estimate_vector_fields(provider, data, basis, c, config)
-        if trace.final_loss < loss_threshold:
+        if trace.final_loss < ESCALATION_LOSS:
             return model, trace
         if best is None or trace.final_loss < best[1].final_loss:
             best = (model, trace)
@@ -275,9 +275,9 @@ def estimate_flow_parameter(
     fields: VectorFieldModel,
     data: np.ndarray,
     candidate_basis: FeatureBasis,
-    residual_threshold: float = 1e-3,
 ) -> FlowParameterResult:
-    """Least squares for theta with X(theta) = 1 over the candidate features."""
+    """Least squares for theta with X(theta) = 1 over the candidate features;
+    flagged when the RMS residual exceeds FLOW_PARAMETER_RESIDUAL."""
     if fields.n_fields != 1:
         raise ValueError("flow parameter fitting needs a single field")
     M2 = invariant_feature_matrix(fields, data, candidate_basis)
@@ -288,7 +288,7 @@ def estimate_flow_parameter(
     return FlowParameterResult(
         ScalarFunctionModel(candidate_basis, v),
         residual,
-        flagged=residual > residual_threshold,
+        flagged=residual > FLOW_PARAMETER_RESIDUAL,
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import symfield as sf
 from conftest import poly_field, poly_model
-from symfield.cli import main
+from symfield.cli import _attach_negative_values, build_parser, main
 from symfield.features import monomial_basis
 from symfield.serialize import (
     load_json,
@@ -457,10 +457,85 @@ def test_grid_resolution_below_one_fails(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy_optimize():
-    """Stages that never fit a density rotation skip scipy.optimize's import."""
+    """No stage needs scipy: a fresh interpreter that imports the CLI and
+    fits a discrete symmetry and a density rotation never loads it."""
     src = os.path.dirname(os.path.dirname(sf.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, symfield.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = """
+import sys
+import numpy as np
+import symfield as sf, symfield.cli
+data = np.random.default_rng(0).standard_normal((60, 2))
+f = sf.ScalarFunctionModel(sf.monomial_basis(2, 2), np.arange(6.0))
+sf.fit_discrete(f, data, sf.reflection_family(), sf.OptimizerConfig())
+sf.fit_density_rotation(sf.kde_fit(data), data, np.pi / 6)
+sys.exit(any(name.split(".")[0] == "scipy" for name in sys.modules))
+"""
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("argv,dest,value", [
+    (["flow", "--field", "f.json", "--x0", "1,0", "--t", "-1e-3"], "t", -1e-3),
+    (["flow", "--field", "f.json", "--x0", "-1e-3,2", "--t", "1"], "x0", "-1e-3,2"),
+    (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "rotation",
+      "--lo", "-2E-1", "--hi", "3"], "lo", -0.2),
+    (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "rotation",
+      "--lo", "-3", "--hi", "-1e-1"], "hi", -0.1),
+    (["discrete", "--model", "f.json", "--data", "d.csv",
+      "--family", "density-rotation", "--theta-min", "-.5e-2"], "theta_min", -5e-3),
+    (["grid", "--model", "m.json", "--lower", "-1e-1,-1", "--upper", "1,1"],
+     "lower", "-1e-1,-1"),
+    (["sim", "--truth", "a.json", "--estimate", "b.json", "--lower", "0,0",
+      "--upper", "-1e-1,1"], "upper", "-1e-1,1"),
+    (["pullback", "--source", "s.csv", "--image", "i.csv", "--point", "-2e0,1"],
+     "point", "-2e0,1"),
+])
+def test_negative_numeric_values_parse_like_attached_form(argv, dest, value):
+    """Every numeric option takes a negative value in exponent notation
+    after a space, as its "=" form does."""
+    split = build_parser().parse_args(_attach_negative_values(argv + ["--out", "o"]))
+    assert getattr(split, dest) == value
+    i = argv.index("--" + dest.replace("_", "-"))
+    joined = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+    assert build_parser().parse_args(joined + ["--out", "o"]) == split
+
+
+def test_flow_negative_exponent_time(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    assert run("flow", "--field", "rot.json", "--x0", "1,0", "--t", "-1e-3",
+               "--steps", "10", "--out", "split.csv") == 0
+    assert run("flow", "--field", "rot.json", "--x0", "1,0", "--t=-1e-3",
+               "--steps", "10", "--out", "joined.csv") == 0
+    split, joined = tmp_path / "split.csv", tmp_path / "joined.csv"
+    assert split.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["grid", "--model", "vfm.json", "--lower", "0,0", "--upper", "1,1"],
+    ["find-vf", "--model", "vfm.json", "--data", "d.csv"],
+    ["transform", "--data", "d.csv", "--invariants", "list.json"],
+    ["transform", "--data", "d.csv", "--invariants", "kde_invariants.json"],
+    ["find-vf", "--model", "f.json", "--data", "d.csv", "--opt-config", "list.json"],
+    ["discrete", "--model", "f.json", "--data", "d.csv", "--family", "reflection",
+     "--opt-config", "list.json"],
+    ["fit-kde", "--data", "d.csv", "--bandwidth", "nan"],
+    ["fit-kde", "--data", "d.csv", "--bandwidth", "inf"],
+    ["fit-kde", "--data", "d.csv", "--bandwidth", "0"],
+])
+def test_malformed_model_and_config_inputs_fail(tmp_path, monkeypatch, command):
+    """A vector-field model where a function is needed, an invariants or
+    optimizer file that is not an object, and a bandwidth that is not finite
+    and positive are validation errors."""
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
+    save_model(sf.VectorFieldModel(monomial_basis(2, 1), [0, 0, 1.0, 0, -1.0, 0]),
+               "vfm.json")
+    save_model(sf.kde_fit(read_csv("d.csv")[0]), "kde.json")
+    save_json({"models": [load_json("kde.json")]}, "kde_invariants.json")
+    (tmp_path / "list.json").write_text("[1, 2]\n")
+    assert run(*command, "--out", "out.json") == 2
+    assert not (tmp_path / "out.json").exists()

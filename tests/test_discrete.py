@@ -13,7 +13,9 @@ from symfield.discrete import (
     rotation_generator,
     similarity_matrix,
     user_linear_family,
-    _residual_loss,
+    _angle_search,
+    _brent,
+    _residual_losses,
 )
 from symfield.features import monomial_basis
 from symfield.manifold import RetractionSingularError, retract, tangent_project
@@ -39,8 +41,8 @@ def test_reflection_scale_invariance():
     f = poly_model(monomial_basis(2, 2), {(1, 1): 1.0})
     data = np.random.default_rng(1).standard_normal((30, 2))
     p = np.array([0.6, 0.8])
-    a = _residual_loss(f, data, family, p, "mean-absolute")
-    b = _residual_loss(f, data, family, 7.0 * p, "mean-absolute")
+    a, b = _residual_losses(f, data, f(data), family, np.stack([p, 7.0 * p]),
+                            "mean-absolute")
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -88,7 +90,8 @@ def test_final_loss_recomputes():
     f = poly_model(monomial_basis(2, 2), {(1, 1): 1.0})
     family = reflection_family()
     result = fit_discrete(f, data, family, CFG)
-    again = _residual_loss(f, data, family, result.parameters, CFG.loss)
+    again = _residual_losses(f, data, f(data), family, [result.parameters],
+                             CFG.loss)[0]
     assert result.final_loss == pytest.approx(again, rel=1e-12)
 
 
@@ -245,9 +248,19 @@ SYMMETRIC_ENTRIES = [
 ]
 
 
+# a two-parameter rotation-like matrix, to exercise interval families with
+# n_params > 1
+TWO_ANGLE_ENTRIES = [
+    [_op("cos", _p(0)), _op("sin", _p(1))],
+    [_op("neg", _op("sin", _p(1))), _op("cos", _p(0))],
+]
+
+
 def _reference_fit(f, data, family, config, n_starts=8, h=1e-6):
-    """fit_discrete one start at a time: scalar central differences and a
-    per-start retraction or clamp, as before the starts ran in lockstep."""
+    """fit_discrete's descent one start at a time: scalar central differences
+    and a per-start retraction or clamp, as before the starts ran in
+    lockstep.  No sign is normalised: only reflection-2d, which is searched
+    as an angle, has S(-p) = S(p)."""
     def objective(p):
         r = f(data @ family.matrix(p).T) - f(data)
         if config.loss == "mean-squared":
@@ -288,30 +301,23 @@ def _reference_fit(f, data, family, config, n_starts=8, h=1e-6):
         if best is None or key < best[0]:
             best = (key, p)
     (loss, _), p = best
-    if family.constraint == "unit-norm" and p[np.argmax(np.abs(p))] < 0:
-        p = -p
     return p, loss
 
 
 def _reference_cases():
+    """The families that fit_discrete still fits by finite differences."""
     rng = np.random.default_rng(11)
     x = rng.uniform(-2, 2, 40)
-    parabola = np.column_stack([x, x**2])
     plane = rng.standard_normal((40, 2))
-    f_parabola = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
     f_three = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
     f_mixed = poly_model(monomial_basis(2, 2),
                          {(2, 0): 1.0, (1, 1): 0.5, (0, 2): 2.0, (1, 0): 0.3})
     return {
-        "reflection": (f_parabola, parabola, reflection_family()),
-        "rotation": (f_three, plane, rotation_family(1.0, 3.0)),
-        "user-linear-unit-norm": (
-            f_parabola, parabola, user_linear_family(REFLECTION_ENTRIES, 2)),
         "user-linear-three-params": (
             f_mixed, plane, user_linear_family(SYMMETRIC_ENTRIES, 3)),
-        "user-linear-interval": (
+        "user-linear-two-params-interval": (
             f_three, plane, user_linear_family(
-                ROTATION_ENTRIES, 1, "interval", (1.0, 3.0))),
+                TWO_ANGLE_ENTRIES, 2, "interval", (1.0, 3.0))),
     }
 
 
@@ -326,6 +332,122 @@ def test_lockstep_fit_matches_per_start_reference(case, loss, algorithm):
     np.testing.assert_allclose(result.parameters, p, rtol=0, atol=1e-10)
     np.testing.assert_allclose(result.final_loss, final_loss,
                                rtol=1e-6, atol=1e-18)
+
+
+def _random_profile(rng):
+    """A smooth, kinked or plateaued function of one variable."""
+    kind = rng.integers(3)
+    c, w, a = rng.uniform(-3, 3), rng.uniform(0.1, 5), rng.uniform(0.5, 2)
+    if kind == 0:
+        return lambda x: float(a * np.sin(w * x + c) + 0.1 * x * x)
+    if kind == 1:
+        return lambda x: float(a * abs(x - c) + 0.3 * np.cos(w * x))
+    return lambda x: float(np.round(a * max(abs(x - c) - 1.0 / w, 0.0), 2))
+
+
+def test_brent_equals_scipy_bounded_bit_for_bit():
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(14)
+    for _ in range(600):
+        loss = _random_profile(rng)
+        a = rng.uniform(-4, 2)
+        b = a + rng.uniform(1e-3, 4)
+        xatol = 10.0 ** rng.uniform(-12, -1)
+        calls = []
+        x, fx = _brent(lambda t: calls.append(t) or loss(t), a, b, xatol)
+        ref = minimize_scalar(loss, bounds=(a, b), method="bounded",
+                              options={"xatol": xatol})
+        assert (x, fx, len(calls)) == (float(ref.x), float(ref.fun), ref.nfev)
+
+
+def test_angle_search_takes_smallest_comparable_minimum():
+    # minima of equal depth at 1 and 4: the smaller angle is the generator
+    loss = lambda t: float(min((t - 1.0) ** 2, (t - 4.0) ** 2))
+    t = _angle_search(loss, np.linspace(0.3, 6.0, 66), 1e-10)
+    assert t == pytest.approx(1.0, abs=1e-8)
+    # a profile falling towards an end returns that end
+    assert _angle_search(lambda t: t, np.linspace(0.5, 2.0, 66), 1e-10) == 0.5
+
+
+def _seam_case(phi, rng):
+    """Data and f = y' - x'^2 in coordinates turned by phi: reflection about the
+    line through the origin with unit normal (cos phi, sin phi) preserves f."""
+    c, s = np.cos(phi), np.sin(phi)
+    x = rng.standard_normal((300, 2))
+
+    def f(X):
+        u = X @ np.array([c, s])  # along the normal: reflected to -u
+        v = X @ np.array([-s, c])
+        return v - u * u
+
+    return f, x
+
+
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2])
+@pytest.mark.parametrize("builtin", [True, False])
+def test_unit_norm_angle_fit_recovers_reflection_on_each_seam(phi, loss, builtin):
+    f, data = _seam_case(phi, np.random.default_rng(15))
+    family = (reflection_family() if builtin
+              else user_linear_family(REFLECTION_ENTRIES, 2))
+    cfg = sf.OptimizerConfig("riemannian-adagrad", loss, 0.05, 500)
+    result = fit_discrete(f, data, family, cfg)
+    np.testing.assert_allclose(result.parameters, [np.cos(phi), np.sin(phi)],
+                               rtol=0, atol=1e-6)
+    again = _residual_losses(f, data, f(data), family, [result.parameters], loss)
+    assert result.final_loss == again[0]
+
+
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+@pytest.mark.parametrize("k,interval", [(3, (1.0, 3.0)), (5, (0.5, 2.0)),
+                                        (7, (0.3, 1.5))])
+@pytest.mark.parametrize("builtin", [True, False])
+def test_interval_angle_fit_recovers_generating_angle(k, interval, loss, builtin):
+    # Re (x + i y)^k is preserved by rotations through multiples of 2 pi / k;
+    # each interval holds one of them
+    data = np.random.default_rng(16).standard_normal((200, 2))
+    f = lambda X: np.real((X[:, 0] + 1j * X[:, 1]) ** k)
+    family = (rotation_family(*interval) if builtin else
+              user_linear_family(ROTATION_ENTRIES, 1, "interval", interval))
+    cfg = sf.OptimizerConfig("riemannian-adagrad", loss, 0.05, 500)
+    result = fit_discrete(f, data, family, cfg)
+    assert result.parameters[0] == pytest.approx(2 * np.pi / k, abs=1e-6)
+    assert not result.excluded_region_active
+
+
+def test_rotation_fit_on_benchmark_seed_977():
+    # the benchmark's parametric-discrete rotation input: the lockstep descent
+    # ended at 2.9658 with loss 58.2 here
+    rng = np.random.default_rng([977, 5])
+    rng.uniform(-2, 2, 300)
+    plane = rng.standard_normal((300, 2))
+    f_three = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
+    cfg = sf.OptimizerConfig("riemannian-adagrad", "mean-squared", 0.05, 500)
+    result = fit_discrete(f_three, plane, rotation_family(1.0, 3.0), cfg)
+    assert result.parameters[0] == pytest.approx(2 * np.pi / 3, abs=1e-6)
+    assert result.final_loss <= 1e-12
+
+
+# [[p0, p1], [p1, -p0]] is odd in p: M(-p) = -M(p), so no sign may be flipped
+ODD_ENTRIES = [[_p(0), _p(1)], [_p(1), _op("neg", _p(0))]]
+# the same with a third parameter that only the descent can fit
+ODD_THREE_ENTRIES = [[_p(0), _op("add", _p(1), _p(2))], [_p(1), _op("neg", _p(0))]]
+
+
+@pytest.mark.parametrize("entries,n_params", [(ODD_ENTRIES, 2),
+                                              (ODD_THREE_ENTRIES, 3)])
+def test_odd_user_linear_family_keeps_its_sign(entries, n_params):
+    # f = y - x^2 is preserved by diag(-1, 1), which is p = (-1, 0, ...)
+    data = np.random.default_rng(17).standard_normal((300, 2))
+    f = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
+    family = user_linear_family(entries, n_params)
+    cfg = sf.OptimizerConfig("riemannian-adagrad", "mean-squared", 0.05, 500)
+    result = fit_discrete(f, data, family, cfg)
+    again = _residual_losses(f, data, f(data), family, [result.parameters],
+                             cfg.loss)[0]
+    assert result.final_loss == pytest.approx(again, rel=1e-12, abs=1e-300)
+    assert result.parameters[0] < -0.99
 
 
 @pytest.mark.parametrize("entries,n_params", [
