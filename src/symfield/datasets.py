@@ -8,6 +8,7 @@ seed regardless of platform-specific ziggurat tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -111,9 +112,12 @@ def generate(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray | None]:
         return np.column_stack([np.cos(theta), np.sin(theta)]), None
 
     if name == "disc-rot":
-        k = int(spec.parameters.get("k", 7))
-        if k < 2:
-            raise ValueError("disc-rot needs k >= 2")
+        k = spec.parameters.get("k", 7)
+        # the CLI passes every --param as a float: 7.0 is the integer 7
+        if (isinstance(k, bool) or not isinstance(k, Real)
+                or not (k >= 2 and float(k).is_integer())):
+            raise ValueError(f"disc-rot needs an integer k >= 2, got {k!r}")
+        k = int(k)
         z = _normals(rng, 2 * N)
         x, y = z[:N], z[N:]
         return np.column_stack([x, y]), disc_rot_targets(x, y, k)

@@ -284,8 +284,11 @@ def _angle_search(loss, grid: np.ndarray, xatol: float) -> float:
     Evaluates loss on the grid, then refines every interior local minimum by
     _brent between its two neighbours.  Every multiple of a generating angle
     is a symmetry too, so among the refined minima the smallest angle whose
-    loss is at most 2 best + 1e-15 is the generator.  With no interior local
-    minimum the best grid point, an end, is returned.
+    loss is at most 2 best + sqrt(eps) (grid loss range) is the generator:
+    _brent locates an angle only to about sqrt(eps) relative, so on a
+    zero-residual family the minima's losses differ by that much of the
+    loss's scale.  With no interior local minimum the best grid point, an
+    end, is returned.
     """
     vals = [loss(t) for t in grid]
     candidates = [
@@ -297,7 +300,8 @@ def _angle_search(loss, grid: np.ndarray, xatol: float) -> float:
         i = int(np.argmin(vals))
         candidates = [(float(grid[i]), vals[i])]
     best = min(loss for _, loss in candidates)
-    return min(t for t, loss in candidates if loss <= 2.0 * best + 1e-15)
+    floor = 2.0 * best + _SQRT_EPS * (max(vals) - min(vals))
+    return min(t for t, loss in candidates if loss <= floor)
 
 
 def _lockstep_descent(losses, family: ParametricFamily, config: OptimizerConfig):

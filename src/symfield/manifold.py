@@ -5,12 +5,15 @@ Stiefel manifold otherwise.  The mean-squared loss is solved in closed
 form: the q eigenvectors of A^T A with the smallest eigenvalues are a
 global optimum (Ky Fan).  The mean-absolute loss uses Riemannian gradient
 descent or a Riemannian Adagrad variant (per-entry squared gradient
-accumulator applied before tangent projection).  Everything is full-batch
-and deterministic for a fixed seed.
+accumulator applied before tangent projection).  One column runs on the
+sphere as a vector and retracts by normalisation, which is the QR
+retraction for one column; more columns retract by QR.  Everything is
+full-batch and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -153,17 +156,21 @@ def minimize(
         loss = float(np.sum((A @ W) ** 2)) / scale
         return W, OptimizationTrace([loss], loss)
 
+    At = np.ascontiguousarray(A.T)
+
     def loss_and_grad(W):
         res = A @ W
-        return float(np.abs(res).sum()) / scale, (A.T @ np.sign(res)) / scale
+        return float(np.abs(res).sum()) / scale, (At @ np.sign(res)) / scale
 
     W = random_orthonormal(p, q, np.random.default_rng(config.seed))
+    if q == 1:
+        W = W[:, 0]  # one column runs on the sphere as a vector
     lr = config.learning_rate
-    acc = np.zeros((p, q))
+    acc = np.zeros_like(W)
     trace = OptimizationTrace()
     for epoch in range(config.epochs):
         loss, g = loss_and_grad(W)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise DivergenceError(epoch)
         trace.losses.append(loss)
         if config.algorithm == "riemannian-adagrad":
@@ -173,9 +180,17 @@ def minimize(
             acc += g * g
         else:
             step = lr * g
-        W = retract(W, -tangent_project(W, step))
+        if q == 1:
+            # the QR retraction of one column is normalisation; t is
+            # tangent at the unit vector W, so ||W - t|| >= 1 and no
+            # RetractionSingularError can arise
+            t = step - W * (W @ step)
+            W = W - t
+            W /= math.hypot(*W.tolist())  # overflow-safe norm
+        else:
+            W = retract(W, -tangent_project(W, step))
 
-    W = _fix_column_signs(W)
+    W = _fix_column_signs(W.reshape(p, q))
     trace.final_loss = loss_and_grad(W)[0]
     return W, trace
 

@@ -10,6 +10,7 @@ to seeded Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -145,6 +146,9 @@ def similarity(
     mc_seed: int = 0,
 ) -> SimilarityReport:
     """Mean absolute cosine of component functions over the domain box."""
+    if (isinstance(mc_samples, bool) or not isinstance(mc_samples, Integral)
+            or mc_samples < 1):
+        raise ValueError(f"mc_samples must be an integer >= 1, got {mc_samples!r}")
     f = _field_components(X)
     g = _field_components(X_hat)
     if len(f) != len(g):

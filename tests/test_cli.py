@@ -539,3 +539,27 @@ def test_malformed_model_and_config_inputs_fail(tmp_path, monkeypatch, command):
     (tmp_path / "list.json").write_text("[1, 2]\n")
     assert run(*command, "--out", "out.json") == 2
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sim_monte_carlo_needs_a_sample(tmp_path, monkeypatch, capsys, samples):
+    # zero samples used to exit 0 and write a NaN aggregate
+    monkeypatch.chdir(tmp_path)
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    assert run("sim", "--truth", "rot.json", "--estimate", "rot.json",
+               "--lower", "0,0", "--upper", "1,1", "--method", "monte-carlo",
+               "--mc-samples", samples, "--out", "sim.json") == 2
+    assert "mc_samples must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sim.json").exists()
+
+
+@pytest.mark.parametrize("k,code", [("2.7", 2), ("1", 2), ("7.0", 0)])
+def test_gen_disc_rot_k_must_be_integral(tmp_path, k, code):
+    out = tmp_path / "d.csv"
+    assert run("gen", "--name", "disc-rot", "--size", "50", "--param", f"k={k}",
+               "--out", out) == code
+    if code == 0:
+        run("gen", "--name", "disc-rot", "--size", "50", "--out", tmp_path / "e.csv")
+        assert out.read_bytes() == (tmp_path / "e.csv").read_bytes()
+    else:
+        assert not out.exists()

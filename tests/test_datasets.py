@@ -73,6 +73,15 @@ def test_disc_rot_k_parameter():
         generate(GeneratorSpec("disc-rot", 10, 0, {"k": 1}))
 
 
+def test_disc_rot_k_must_be_integral():
+    # a whole float is its integer; a fractional k used to be truncated
+    whole = generate(GeneratorSpec("disc-rot", 50, 0, {"k": 7.0}))[1]
+    assert np.array_equal(whole, generate(GeneratorSpec("disc-rot", 50, 0))[1])
+    for bad in (2.7, 1.0, 0, -3, float("nan"), float("inf"), True, "7", None):
+        with pytest.raises(ValueError):
+            generate(GeneratorSpec("disc-rot", 10, 0, {"k": bad}))
+
+
 def test_killing4d_embedding_definitional():
     data, targets = generate(GeneratorSpec("killing4d", 50, 0))
     u, v, w = data.T

@@ -416,6 +416,18 @@ def test_interval_angle_fit_recovers_generating_angle(k, interval, loss, builtin
     assert not result.excluded_region_active
 
 
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+def test_angle_fit_prefers_generator_over_its_multiples(loss):
+    # (0.5, 6.0) holds 1 to 4 times 2 pi / 5, all exact symmetries; the
+    # refined minima's losses differ by Brent's accuracy times the loss
+    # scale, and an absolute tie-break returned 4 or 3 times 2 pi / 5
+    data = np.random.default_rng(16).standard_normal((200, 2))
+    f = lambda X: np.real((X[:, 0] + 1j * X[:, 1]) ** 5)
+    cfg = sf.OptimizerConfig("riemannian-adagrad", loss, 0.05, 500)
+    result = fit_discrete(f, data, rotation_family(0.5, 6.0), cfg)
+    assert result.parameters[0] == pytest.approx(2 * np.pi / 5, abs=1e-6)
+
+
 def test_rotation_fit_on_benchmark_seed_977():
     # the benchmark's parametric-discrete rotation input: the lockstep descent
     # ended at 2.9658 with loss 58.2 here

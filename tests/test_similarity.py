@@ -166,3 +166,11 @@ def test_report_serialization():
     assert d["mc_samples"] == 1000
     assert d["mc_seed"] == 3
     assert len(d["per_component"]) == 2
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.5, 10.0, True, None])
+def test_mc_samples_must_be_a_positive_integer(samples):
+    # zero samples used to give a NaN aggregate
+    X = random_quadratic_field(8)
+    with pytest.raises(ValueError, match="mc_samples"):
+        similarity(X, X, BOX, method="monte-carlo", mc_samples=samples)
