@@ -22,7 +22,13 @@ from functools import reduce
 import numpy as np
 
 from .manifold import OptimizerConfig, retract, tangent_project
-from .model_fit import KdeModel, ScalarFunctionModel, kde_eval
+from .model_fit import (
+    KdeModel,
+    ScalarFunctionModel,
+    _rotate,
+    kde_eval,
+    kde_eval_mirrored,
+)
 
 __all__ = [
     "ParametricFamily",
@@ -207,7 +213,7 @@ def _residual_losses(f, data, base, family, P, loss_kind) -> np.ndarray:
 
 
 _GRID = 64  # both searches' coarse grids have _GRID + 2 angles
-_THIN = 4096  # points and centres in density rotation's coarse stage
+_THIN = 4096  # centres in density rotation's coarse stage, queried at themselves
 _N_STARTS = 8
 _FD_STEP = 1e-6
 _FIT_XATOL = 1e-10  # fit_discrete's angle tolerance
@@ -278,19 +284,18 @@ def _brent(loss, a: float, b: float, xatol: float) -> tuple[float, float]:
     return float(xf), float(fx)
 
 
-def _angle_search(loss, grid: np.ndarray, xatol: float) -> float:
+def _angle_search(loss, grid: np.ndarray, vals, xatol: float) -> float:
     """The smallest angle whose loss is comparable to the best.
 
-    Evaluates loss on the grid, then refines every interior local minimum by
-    _brent between its two neighbours.  Every multiple of a generating angle
-    is a symmetry too, so among the refined minima the smallest angle whose
-    loss is at most 2 best + sqrt(eps) (grid loss range) is the generator:
-    _brent locates an angle only to about sqrt(eps) relative, so on a
-    zero-residual family the minima's losses differ by that much of the
-    loss's scale.  With no interior local minimum the best grid point, an
-    end, is returned.
+    vals holds loss at each grid angle.  Every interior local minimum of the
+    grid is refined by _brent between its two neighbours.  Every multiple of
+    a generating angle is a symmetry too, so among the refined minima the
+    smallest angle whose loss is at most 2 best + sqrt(eps) (grid loss range)
+    is the generator: _brent locates an angle only to about sqrt(eps)
+    relative, so on a zero-residual family the minima's losses differ by
+    that much of the loss's scale.  With no interior local minimum the best
+    grid point, an end, is returned.
     """
-    vals = [loss(t) for t in grid]
     candidates = [
         _brent(loss, grid[i - 1], grid[i + 1], xatol)
         for i in range(1, len(grid) - 1)
@@ -372,8 +377,8 @@ def fit_discrete(
     if grid is None:
         p = _lockstep_descent(losses, family, config)
     else:
-        p = params(_angle_search(
-            lambda t: float(losses(params(t)[None])[0]), grid, _FIT_XATOL))
+        loss = lambda t: float(losses(params(t)[None])[0])
+        p = params(_angle_search(loss, grid, [loss(t) for t in grid], _FIT_XATOL))
     if family.kind == "reflection-2d" and p[np.argmax(np.abs(p))] < 0:
         p = -p  # S(-p) = S(p): report the normal with its largest entry positive
     boundary = False
@@ -383,11 +388,6 @@ def fit_discrete(
         boundary = bool(np.any(p - lo < tol) or np.any(hi - p < tol))
     return DiscreteFitResult(p, float(losses(p[None])[0]),
                              excluded_region_active=boundary)
-
-
-def _rotate(points: np.ndarray, theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return points @ np.array([[c, s], [-s, c]]).T
 
 
 def _thin(arr: np.ndarray) -> np.ndarray:
@@ -402,9 +402,13 @@ def fit_density_rotation(
     density.
 
     Minimizes mean |p(S(theta) x_i) - p(x_i)|.  A coarse _angle_search
-    (xatol 1e-4) runs on at most _THIN query points and mixture centres,
-    thinned at even strides; one _brent run (xatol 1e-5) within a grid
-    spacing of its angle then uses the full model and the full dataset.
+    (xatol 1e-4) runs on a model of at most _THIN of kde's centres, thinned
+    at an even stride, and queries that model's own centres, which are the
+    data when kde was fitted on them.  Its grid pairs each angle theta with
+    2 pi - theta, and one kernel pass (kde_eval_mirrored) scores both.  One
+    _brent run (xatol 1e-5) within a grid spacing of its angle then uses the
+    full model and the full dataset.  excluded_region_active is set when the
+    angle is pinned at either end of the allowed range.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:
@@ -415,20 +419,29 @@ def fit_density_rotation(
     # theta_min of a full turn are just as trivial as small ones
     theta_max = 2.0 * np.pi - theta_min
 
-    def loss_with(model, points):
+    def change_from(model, points):
+        """density -> mean |density - p(points)| under model."""
         base = kde_eval(model, points)
-        return lambda theta: float(
-            np.mean(np.abs(kde_eval(model, _rotate(points, theta)) - base)))
+        return lambda density: float(np.mean(np.abs(density - base)))
 
     coarse = KdeModel(_thin(kde.centers), _thin(kde.weights), kde.bandwidth)
+    change = change_from(coarse, coarse.centers)
+    half = np.linspace(theta_min, theta_max, _GRID + 2)[: _GRID // 2 + 1]
+    scored = [[change(p) for p in kde_eval_mirrored(coarse, t)] for t in half]
     theta0 = _angle_search(
-        loss_with(coarse, _thin(data)),
-        np.linspace(theta_min, theta_max, _GRID + 2), _COARSE_XATOL)
+        lambda t: change(kde_eval(coarse, _rotate(coarse.centers, t))),
+        np.concatenate([half, 2.0 * np.pi - half[::-1]]),
+        [ahead for ahead, _ in scored] + [behind for _, behind in scored[::-1]],
+        _COARSE_XATOL)
     spacing = (theta_max - theta_min) / (_GRID + 1)
     lo = max(theta_min, theta0 - spacing)
     hi = min(theta_max, theta0 + spacing)
-    theta, loss = _brent(loss_with(kde, data), lo, hi, _DENSITY_XATOL)
-    boundary = lo == theta_min and theta - theta_min < 10.0 * _DENSITY_XATOL
+    full = change_from(kde, data)
+    theta, loss = _brent(lambda t: full(kde_eval(kde, _rotate(data, t))),
+                         lo, hi, _DENSITY_XATOL)
+    pinned = 10.0 * _DENSITY_XATOL
+    boundary = ((lo == theta_min and theta - theta_min < pinned)
+                or (hi == theta_max and theta_max - theta < pinned))
     return DiscreteFitResult(
         np.array([theta]), loss, excluded_region_active=boundary
     )

@@ -14,7 +14,7 @@ full-batch and deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -66,30 +66,21 @@ class OptimizerConfig:
             # bool is an Integral, but a JSON true is never a count or a rate
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {kind.__name__.lower()}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.adagrad_epsilon <= 0:
-            raise ValueError("adagrad_epsilon must be positive")
+        if not (math.isfinite(self.adagrad_epsilon) and self.adagrad_epsilon > 0):
+            raise ValueError("adagrad_epsilon must be finite and positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
         if not isinstance(d, dict):
             raise ValueError("an optimizer configuration must be a JSON object")
-        known = {
-            k: d[k]
-            for k in (
-                "algorithm",
-                "loss",
-                "learning_rate",
-                "epochs",
-                "seed",
-                "adagrad_epsilon",
-            )
-            if k in d
-        }
-        return cls(**known)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown optimizer configuration keys: {unknown}")
+        return cls(**d)
 
 
 @dataclass
@@ -192,6 +183,9 @@ def minimize(
 
     W = _fix_column_signs(W.reshape(p, q))
     trace.final_loss = loss_and_grad(W)[0]
+    # the last epoch's step is taken after its loss was checked
+    if not (math.isfinite(trace.final_loss) and np.all(np.isfinite(W))):
+        raise DivergenceError(config.epochs)
     return W, trace
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "kde_fit",
     "kde_eval",
     "kde_gradient",
+    "kde_eval_mirrored",
 ]
 
 ELBOW_LOSS_FLOOR = 1e-12
@@ -340,9 +341,14 @@ def kde_fit(
 
 
 def _kernel_sums(
-    model: KdeModel, points: np.ndarray, want_gradient: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Weighted kernel sums (and gradient sums) over cache-sized row blocks."""
+    model: KdeModel,
+    points: np.ndarray,
+    want_gradient: bool,
+    point_weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Sums of the kernel matrix K[i, j] = k(p_i - c_j) over cache-sized row
+    blocks: the weighted row sums K w, their gradient sums if want_gradient,
+    and the column sums u K if point_weights u (one per point) are given."""
     # centring keeps the cancellation in |p|^2 + |c|^2 - 2 p.c independent
     # of where the data sit
     shift = model.centers.mean(axis=0)
@@ -355,6 +361,7 @@ def _kernel_sums(
     wC = model.weights[:, None] * C
     vals = np.empty(len(P))
     grads = np.empty(P.shape) if want_gradient else None
+    cols = None if point_weights is None else np.zeros(len(C))
     rows = max(1, KERNEL_BLOCK_ELEMENTS // len(C))
     buf = np.empty((min(rows, len(P)), len(C)))
     for lo in range(0, len(P), rows):
@@ -364,7 +371,9 @@ def _kernel_sums(
         vals[blk] = v = K @ model.weights
         if want_gradient:
             grads[blk] = (K @ wC - v[:, None] * P[blk]) / h2
-    return vals, grads
+        if cols is not None:
+            cols += point_weights[blk] @ K
+    return vals, grads, cols
 
 
 def _kde_norm(model: KdeModel) -> float:
@@ -376,11 +385,34 @@ def _kde_norm(model: KdeModel) -> float:
 
 def kde_eval(model: KdeModel, points: np.ndarray) -> np.ndarray:
     """Density values of the weighted Gaussian mixture."""
-    vals, _ = _kernel_sums(model, points, want_gradient=False)
+    vals, _, _ = _kernel_sums(model, points, want_gradient=False)
     return vals / _kde_norm(model)
 
 
 def kde_gradient(model: KdeModel, points: np.ndarray) -> np.ndarray:
     """(N, n) array of analytic density gradients."""
-    _, grads = _kernel_sums(model, points, want_gradient=True)
+    _, grads, _ = _kernel_sums(model, points, want_gradient=True)
     return grads / _kde_norm(model)
+
+
+def _rotate(points: np.ndarray, theta: float) -> np.ndarray:
+    """Planar points turned by the rotation S(theta) of discrete's rotation
+    family."""
+    c, s = np.cos(theta), np.sin(theta)
+    return points @ np.array([[c, s], [-s, c]]).T
+
+
+def kde_eval_mirrored(
+    model: KdeModel, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Densities at the model's own centres c turned by theta and by -theta,
+    (p(S(theta) c), p(S(-theta) c)), from one kernel pass.
+
+    With K[i, j] = k(S(theta) c_i - c_j), the row sums K w give p(S(theta) c)
+    and the column sums w K give p(S(-theta) c), because
+    |S(theta) c_i - c_j| = |c_i - S(-theta) c_j|.
+    """
+    turned = _rotate(model.centers, theta)
+    vals, _, cols = _kernel_sums(model, turned, False, point_weights=model.weights)
+    norm = _kde_norm(model)
+    return vals / norm, cols / norm

@@ -315,6 +315,28 @@ def test_opt_config_wrong_type_fails(tmp_path):
                "--out", tmp_path / "vf.json") == 2
 
 
+@pytest.mark.parametrize("config, name", [
+    ('{"learning-rate": 0.5}', "learning-rate"),
+    ('{"learning_rate": NaN}', "learning_rate"),
+    ('{"learning_rate": Infinity}', "learning_rate"),
+    ('{"adagrad_epsilon": NaN}', "adagrad_epsilon"),
+], ids=["unknown-key", "nan-rate", "inf-rate", "nan-epsilon"])
+@pytest.mark.parametrize("command", [
+    ["find-vf", "--model", "f.json", "--data", "d.csv"],
+    ["discrete", "--model", "f.json", "--data", "d.csv", "--family", "reflection"],
+], ids=["find-vf", "discrete"])
+def test_opt_config_unknown_key_or_nonfinite_rate_fails(
+        tmp_path, monkeypatch, capsys, command, config, name):
+    # an unknown key used to be dropped and the defaults ran; a NaN or
+    # infinite rate passed validation
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
+    (tmp_path / "opt.json").write_text(config + "\n")
+    assert run(*command, "--opt-config", "opt.json", "--out", "out.json") == 2
+    assert name in capsys.readouterr().err
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SYMFIELD_SEED", "7")
     run("gen", "--name", "cubic", "--size", "40", "--seed", "5",

@@ -3,6 +3,7 @@ import pytest
 
 import symfield as sf
 from conftest import poly_model
+from symfield import discrete
 from symfield.discrete import (
     eval_expression,
     fit_density_rotation,
@@ -19,7 +20,7 @@ from symfield.discrete import (
 )
 from symfield.features import monomial_basis
 from symfield.manifold import RetractionSingularError, retract, tangent_project
-from symfield.model_fit import kde_fit
+from symfield.model_fit import KdeModel, _rotate, kde_eval, kde_fit
 
 CFG = sf.OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.05, 400)
 
@@ -126,7 +127,12 @@ def test_density_rotation_uniform_ring_flat_loss():
     kde = kde_fit(data, bandwidth=0.8)
     result = fit_density_rotation(kde, data, np.pi / 6)
     assert result.final_loss <= 1e-3
-    assert not result.excluded_region_active
+    # the sample's density changes least under the turns nearest the
+    # identity, so the fit is pinned at an end of the allowed range (here
+    # 2 pi - theta_min), and the flag says so
+    theta = result.parameters[0]
+    assert min(theta - np.pi / 6, 11 * np.pi / 6 - theta) < 1e-4
+    assert result.excluded_region_active
 
 
 def test_density_rotation_recovers_square_symmetry():
@@ -138,6 +144,88 @@ def test_density_rotation_recovers_square_symmetry():
     kde = kde_fit(data)
     result = fit_density_rotation(kde, data, np.pi / 6)
     assert result.parameters[0] == pytest.approx(np.pi / 2, abs=0.05)
+
+
+def _loss_one_angle_per_pass(model, points):
+    """theta -> mean |p(S(theta) x) - p(x)|, one kernel pass per angle."""
+    base = kde_eval(model, points)
+    return lambda theta: float(
+        np.mean(np.abs(kde_eval(model, _rotate(points, theta)) - base)))
+
+
+def _coarse_loss_one_angle_per_pass(kde, data):
+    thin = discrete._thin
+    coarse = KdeModel(thin(kde.centers), thin(kde.weights), kde.bandwidth)
+    return _loss_one_angle_per_pass(coarse, thin(data))
+
+
+def _density_rotation_one_angle_per_pass(kde, data, theta_min):
+    """fit_density_rotation as it was before the mirrored passes: the coarse
+    grid is linspace(theta_min, 2 pi - theta_min, 66), scored one angle per
+    kernel pass at the thinned data."""
+    theta_max = 2.0 * np.pi - theta_min
+    loss = _coarse_loss_one_angle_per_pass(kde, data)
+    grid = np.linspace(theta_min, theta_max, 66)
+    theta0 = _angle_search(loss, grid, [loss(t) for t in grid], 1e-4)
+    spacing = (theta_max - theta_min) / 65
+    lo, hi = max(theta_min, theta0 - spacing), min(theta_max, theta0 + spacing)
+    return _brent(_loss_one_angle_per_pass(kde, data), lo, hi, 1e-5)
+
+
+def _disc_rot_kde(n_points, seed):
+    data, targets = sf.generate(sf.GeneratorSpec("disc-rot", n_points, seed))
+    weights = targets**8
+    return kde_fit(data, weights / weights.sum()), data
+
+
+@pytest.mark.parametrize("thin", [None, 150])
+@pytest.mark.parametrize("seed", [401, 11, 977])
+@pytest.mark.parametrize("n_points", [1000, 1500])
+def test_density_rotation_matches_one_angle_per_pass(
+        monkeypatch, n_points, seed, thin):
+    # the benchmark's disc-rot inputs; thin = 150 takes the thinned path
+    if thin is not None:
+        monkeypatch.setattr(discrete, "_THIN", thin)
+    kde, data = _disc_rot_kde(n_points, seed)
+    theta, loss = _density_rotation_one_angle_per_pass(kde, data, np.pi / 6)
+    result = fit_density_rotation(kde, data, np.pi / 6)
+    assert result.parameters[0] == pytest.approx(theta, rel=0, abs=1e-9)
+    assert result.final_loss == pytest.approx(loss, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("thin", [None, 150])
+def test_density_rotation_grid_losses_match_one_angle_per_pass(monkeypatch, thin):
+    # the grid's upper half is scored by the column sums of the lower half's
+    # passes: each angle must get its own loss
+    if thin is not None:
+        monkeypatch.setattr(discrete, "_THIN", thin)
+    kde, data = _disc_rot_kde(1000, 401)
+    searched = []
+
+    def search(loss, grid, vals, xatol):
+        searched.append((grid, vals))
+        return _angle_search(loss, grid, vals, xatol)
+
+    monkeypatch.setattr(discrete, "_angle_search", search)
+    fit_density_rotation(kde, data, np.pi / 6)
+    [(grid, vals)] = searched
+    np.testing.assert_allclose(
+        grid, np.linspace(np.pi / 6, 11 * np.pi / 6, 66), rtol=0, atol=1e-14)
+    loss = _coarse_loss_one_angle_per_pass(kde, data)
+    np.testing.assert_allclose(vals, [loss(t) for t in grid], rtol=1e-12)
+
+
+def test_density_rotation_flags_both_ends_of_the_excluded_region():
+    # three blobs whose best turn lies inside the excluded region: the fit is
+    # pinned at theta_min, and for the reflected data at 2 pi - theta_min
+    rng = np.random.default_rng(1)
+    centers = np.array([[0.3, 0.0], [-0.1, 0.25], [-0.1, -0.3]])
+    data = (centers[rng.integers(0, 3, 600)]
+            + 0.35 * rng.standard_normal((600, 2)))
+    for points, end in ((data, np.pi / 6), (data * [1, -1], 11 * np.pi / 6)):
+        result = fit_density_rotation(kde_fit(points), points, np.pi / 6)
+        assert result.parameters[0] == pytest.approx(end, abs=1e-4)
+        assert result.excluded_region_active
 
 
 def test_rotation_generator_and_similarity():
@@ -364,10 +452,12 @@ def test_brent_equals_scipy_bounded_bit_for_bit():
 def test_angle_search_takes_smallest_comparable_minimum():
     # minima of equal depth at 1 and 4: the smaller angle is the generator
     loss = lambda t: float(min((t - 1.0) ** 2, (t - 4.0) ** 2))
-    t = _angle_search(loss, np.linspace(0.3, 6.0, 66), 1e-10)
+    grid = np.linspace(0.3, 6.0, 66)
+    t = _angle_search(loss, grid, [loss(t) for t in grid], 1e-10)
     assert t == pytest.approx(1.0, abs=1e-8)
     # a profile falling towards an end returns that end
-    assert _angle_search(lambda t: t, np.linspace(0.5, 2.0, 66), 1e-10) == 0.5
+    grid = np.linspace(0.5, 2.0, 66)
+    assert _angle_search(lambda t: t, grid, list(grid), 1e-10) == 0.5
 
 
 def _seam_case(phi, rng):

@@ -170,13 +170,26 @@ def test_config_validation(bad):
         OptimizerConfig(**bad)
 
 
-def test_config_from_dict_ignores_extras():
+@pytest.mark.parametrize("name", ["learning_rate", "adagrad_epsilon"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_nonfinite_rates(name, value):
+    with pytest.raises(ValueError, match=name):
+        OptimizerConfig(**{name: value})
+
+
+def test_config_from_dict_reads_every_field():
     cfg = OptimizerConfig.from_dict(
         {"algorithm": "riemannian-sgd", "loss": "mean-squared",
-         "learning_rate": 0.5, "epochs": 7, "seed": 3, "comment": "x"}
+         "learning_rate": 0.5, "epochs": 7, "seed": 3, "adagrad_epsilon": 1e-6}
     )
-    assert cfg.algorithm == "riemannian-sgd"
-    assert cfg.epochs == 7
+    assert cfg == OptimizerConfig("riemannian-sgd", "mean-squared", 0.5, 7, 3, 1e-6)
+
+
+@pytest.mark.parametrize("extra", ["learning-rate", "comment", "lr"])
+def test_config_from_dict_rejects_unknown_keys(extra):
+    # a misspelt key used to be dropped, and the defaults ran silently
+    with pytest.raises(ValueError, match=extra):
+        OptimizerConfig.from_dict({"epochs": 7, extra: 0.5})
 
 
 def test_config_accepts_json_integer_rates():
@@ -311,4 +324,16 @@ def test_sphere_loop_nonfinite_step_diverges():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as info:
             minimize(A, 1, config)
+    assert info.value.epoch == 1
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_nonfinite_last_step_diverges(q):
+    # with one epoch the infinite step is the last one, taken after the
+    # epoch's loss was checked: W and the recomputed loss are NaN
+    A = np.random.default_rng(13).standard_normal((60, 4))
+    config = OptimizerConfig("riemannian-adagrad", "mean-absolute", 1e305, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            minimize(A, q, config)
     assert info.value.epoch == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import symfield as sf
 from conftest import poly_model
 from symfield.features import FeatureAtom, monomial_basis, trig_extend
+from symfield import model_fit
 from symfield.model_fit import (
     KERNEL_BLOCK_ELEMENTS,
     EmptyLevelSetError,
@@ -14,7 +15,9 @@ from symfield.model_fit import (
     extend_degenerate_columns,
     fit_level_set,
     fit_regression,
+    _rotate,
     kde_eval,
+    kde_eval_mirrored,
     kde_fit,
     kde_gradient,
     project_onto_affine,
@@ -259,6 +262,28 @@ def test_kde_matches_direct_pairwise_sums(queries, centers, dim):
     np.testing.assert_allclose(kde_eval(model, points), vals, rtol=1e-12)
     np.testing.assert_allclose(kde_gradient(model, points), grads, rtol=1e-12,
                                atol=1e-12 * np.abs(grads).max())
+
+
+@pytest.mark.parametrize(
+    "centers, block_elements",
+    [
+        (1, KERNEL_BLOCK_ELEMENTS),  # a single centre
+        (1000, KERNEL_BLOCK_ELEMENTS),  # blocks of 65 rows: 1000 = 15 * 65 + 25
+        (300, 256),  # more centres than one block holds: blocks of one row
+    ],
+)
+@pytest.mark.parametrize("theta", [0.3, 2 * np.pi / 7, 3.0])
+def test_kde_mirrored_pass_matches_two_evaluations(
+        monkeypatch, centers, block_elements, theta):
+    monkeypatch.setattr(model_fit, "KERNEL_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(centers)
+    model = KdeModel(rng.standard_normal((centers, 2)) * [1.5, 0.7] + 0.5,
+                     rng.uniform(0.1, 1.0, centers), 0.4)
+    ahead, behind = kde_eval_mirrored(model, theta)
+    np.testing.assert_allclose(
+        ahead, kde_eval(model, _rotate(model.centers, theta)), rtol=1e-12)
+    np.testing.assert_allclose(
+        behind, kde_eval(model, _rotate(model.centers, -theta)), rtol=1e-12)
 
 
 def dyadic(x):
