@@ -102,8 +102,19 @@ def _load_model(path: str, *kinds):
     return model
 
 
+def _load_member(path: str, key: str, kind=object):
+    """The value at key of the JSON object in path, which must be a kind."""
+    spec = load_json(path)
+    if not (isinstance(spec, dict) and isinstance(spec.get(key), kind)):
+        raise ValidationError(f"{path} is not an object holding {key!r}")
+    return spec[key]
+
+
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",")], dtype=float)
+    vector = np.array([float(tok) for tok in text.split(",")], dtype=float)
+    if not np.all(np.isfinite(vector)):
+        raise ValidationError(f"{text!r} is not a vector of finite numbers")
+    return vector
 
 
 def cmd_gen(args) -> None:
@@ -287,7 +298,7 @@ def cmd_discrete(args) -> None:
         result = discrete.fit_density_rotation(model, data, args.theta_min)
         out = result.to_dict()
         if args.reference:
-            ref = np.array(load_json(args.reference)["matrix"], dtype=float)
+            ref = np.array(_load_member(args.reference, "matrix"), dtype=float)
             out["generator_similarity"] = discrete.similarity_matrix(
                 result.parameters[0], ref
             )
@@ -300,12 +311,9 @@ def cmd_discrete(args) -> None:
     else:
         if args.entries is None:
             raise ValidationError("user-linear needs --entries")
-        spec = load_json(args.entries)
-        if not (isinstance(spec, dict) and "entries" in spec):
-            raise ValidationError(f"{args.entries} is not an object holding \"entries\"")
         bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
         family = discrete.user_linear_family(
-            spec["entries"],
+            _load_member(args.entries, "entries"),
             args.n_params,
             constraint="unit-norm" if bounds is None else "interval",
             interval=bounds,
@@ -329,11 +337,7 @@ def cmd_transform(args) -> None:
     data, _ = read_csv(args.data)
     columns, header = [], []
     if args.invariants:
-        spec = load_json(args.invariants)
-        if not (isinstance(spec, dict) and isinstance(spec.get("models"), list)):
-            raise ValidationError(
-                f"{args.invariants} is not an object holding a \"models\" list")
-        for i, d in enumerate(spec["models"]):
+        for i, d in enumerate(_load_member(args.invariants, "models", list)):
             model = model_from_dict(d)
             if not isinstance(model, ScalarFunctionModel):
                 raise ValidationError(f"invariant {i + 1} is not a scalar model")
@@ -377,8 +381,9 @@ def cmd_grid(args) -> None:
     _write_table(args.out, np.column_stack([points, values]), header)
 
 
-def _add_common(p, opt=True):
-    p.add_argument("--seed", type=int, default=None)
+def _add_common(p, seed=True, opt=True):
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
     if opt:
         p.add_argument("--opt-config", default=None,
                        help="JSON optimizer configuration file")
@@ -404,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--trig", action="store_true")
     p.add_argument("--out", required=True)
-    _add_common(p, opt=False)
     p.set_defaults(func=cmd_fit_fn)
 
     p = sub.add_parser("fit-levelset", help="constrained level-set estimation")
@@ -431,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-power", type=float, default=1.0)
     p.add_argument("--bandwidth", default="scott")
     p.add_argument("--out", required=True)
-    _add_common(p, opt=False)
     p.set_defaults(func=cmd_fit_kde)
 
     p = sub.add_parser("find-vf", help="estimate annihilating vector fields")
@@ -461,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--trig", action="store_true")
     p.add_argument("--out", required=True)
-    _add_common(p, opt=False)
     p.set_defaults(func=cmd_flow_param)
 
     p = sub.add_parser("flow", help="integrate a vector-field flow")
@@ -470,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--out", required=True)
-    _add_common(p, opt=False)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("sim", help="score two vector fields")
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None,
                    help="reference generator JSON for similarity scoring")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_discrete)
 
     p = sub.add_parser("pullback", help="pull back the ambient metric")
@@ -512,17 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--point", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, opt=False)
     p.set_defaults(func=cmd_pullback)
 
     p = sub.add_parser("transform", help="export invariant/flow coordinates")
     p.add_argument("--data", required=True)
     p.add_argument("--invariants", default=None)
-    p.add_argument("--flow-param", default=None)
-    p.add_argument("--angle", action="store_true",
-                   help="append the polar angle of 2-D data")
+    theta = p.add_mutually_exclusive_group()
+    theta.add_argument("--flow-param", default=None)
+    theta.add_argument("--angle", action="store_true",
+                       help="append the polar angle of 2-D data")
     p.add_argument("--out", required=True)
-    _add_common(p, opt=False)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("grid", help="gridded function-value CSV")
@@ -531,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", required=True)
     p.add_argument("--resolution", type=int, default=50)
     p.add_argument("--out", required=True)
-    _add_common(p, opt=False)
     p.set_defaults(func=cmd_grid)
 
     return parser

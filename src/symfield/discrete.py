@@ -4,13 +4,13 @@ Fits the parameters of a transformation family so that a fitted function
 (or an estimated density) is preserved: reflections about a line through
 the origin, planar rotations by a fixed angle, and user-supplied linear
 families whose matrix entries are expression trees over the parameters.
-Wherever the parameter set is one-dimensional (a rotation angle, a unit
-normal, a density rotation) one angle search finds the symmetry: a coarse
-grid, Brent's bounded minimisation on each local minimum, and the smallest
-angle of comparable loss.  Larger families run a multi-start
-finite-difference descent whose starts and probes advance in lockstep: each
-epoch transforms the data by every probe's matrix at once and calls f once
-on all the transformed points.
+One angle search finds every symmetry: a coarse grid, Brent's bounded
+minimisation on each local minimum, and the smallest angle of comparable
+loss.  fit_density_rotation runs it once on a thinned model and refines on
+the full data.  fit_discrete runs it along one line of the parameter set at
+a time (a coordinate of an interval family, a turn in one coordinate plane
+of a unit-norm family) and sweeps the lines until the parameters stop
+moving.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
-from .manifold import OptimizerConfig, retract, tangent_project
+from .manifold import OptimizerConfig
 from .model_fit import (
     KdeModel,
     ScalarFunctionModel,
@@ -214,9 +215,9 @@ def _residual_losses(f, data, base, family, P, loss_kind) -> np.ndarray:
 
 _GRID = 64  # both searches' coarse grids have _GRID + 2 angles
 _THIN = 4096  # centres in density rotation's coarse stage, queried at themselves
-_N_STARTS = 8
-_FD_STEP = 1e-6
-_FIT_XATOL = 1e-10  # fit_discrete's angle tolerance
+_FIT_XATOL = 1e-10  # fit_discrete's line-search tolerance
+_SWEEP_TOL = 1e-8  # fit_discrete stops when a sweep moves no coordinate further
+_MAX_SWEEPS = 50
 _COARSE_XATOL = 1e-4  # density rotation's coarse and full-data tolerances
 _DENSITY_XATOL = 1e-5
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -309,39 +310,6 @@ def _angle_search(loss, grid: np.ndarray, vals, xatol: float) -> float:
     return min(t for t, loss in candidates if loss <= floor)
 
 
-def _lockstep_descent(losses, family: ParametricFamily, config: OptimizerConfig):
-    """Best of _N_STARTS central-difference descents run in lockstep: one
-    call of losses per epoch evaluates every start's 2 n_params probes."""
-    n = family.n_params
-    if family.constraint == "unit-norm":
-        G = np.random.default_rng(config.seed).standard_normal((_N_STARTS, n, 1))
-        P = retract(np.zeros_like(G), G)[:, :, 0]
-    else:
-        lo, hi = family.interval
-        mids = lo + (hi - lo) * (np.arange(_N_STARTS) + 0.5) / _N_STARTS
-        P = np.repeat(mids[:, None], n, axis=1)
-
-    # probe rows (start, sign, i): P[start] +- _FD_STEP in coordinate i
-    H = np.stack([np.eye(n), -np.eye(n)]) * _FD_STEP
-    acc = np.zeros_like(P)
-    for _ in range(config.epochs):
-        L = losses((P[:, None, None] + H).reshape(-1, n)).reshape(_N_STARTS, 2, n)
-        g = (L[:, 0] - L[:, 1]) / (2 * _FD_STEP)
-        if config.algorithm == "riemannian-adagrad":
-            step = config.learning_rate * g / np.sqrt(acc + config.adagrad_epsilon)
-            acc += g * g
-        else:
-            step = config.learning_rate * g
-        if family.constraint == "unit-norm":
-            W = P[:, :, None]
-            P = retract(W, -tangent_project(W, step[:, :, None]))[:, :, 0]
-        else:
-            P = np.clip(P - step, lo, hi)
-
-    final = losses(P)
-    return P[min(range(_N_STARTS), key=lambda i: (final[i], tuple(P[i])))].copy()
-
-
 def fit_discrete(
     f: ScalarFunctionModel,
     data: np.ndarray,
@@ -350,13 +318,15 @@ def fit_discrete(
 ) -> DiscreteFitResult:
     """Minimize the transformation residual of f over the family parameters.
 
-    A one-dimensional parameter set is searched as an angle by
-    _angle_search: theta itself on an interval family with one parameter,
-    and p = (cos phi, sin phi) on a unit-norm family with two, with a grid
-    that overlaps one spacing past both ends of [0, 2 pi].  Only config.loss
-    is read then.  Larger parameter sets run the lockstep finite-difference
-    descent that config configures: Riemannian on the parameter sphere for
-    unit-norm families, clamped to the bounds for interval families.
+    Coordinate descent with exact line searches (Wright 2015): each line
+    through p is searched by _angle_search.  On an interval family p starts
+    at the box midpoint and each line is one coordinate, on linspace(lo, hi,
+    _GRID + 2).  On a unit-norm family p starts at e0 and each line turns p
+    by t in a coordinate plane in which p has a component, with t on a grid
+    one spacing past both ends of [0, 2 pi]; with one parameter the better
+    of +-e0 is taken.  Sweeps repeat until no coordinate moves by more than
+    _SWEEP_TOL, at most _MAX_SWEEPS times; one line gets one search.  Only
+    config.loss is read.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != family.dimension:
@@ -367,23 +337,43 @@ def fit_discrete(
         return _residual_losses(f, data, base, family, P, config.loss)
 
     n = family.n_params
-    if family.constraint == "interval" and n == 1:
-        grid, params = np.linspace(*family.interval, _GRID + 2), np.atleast_1d
-    elif family.constraint == "unit-norm" and n == 2:
+    if family.constraint == "interval":
+        lo, hi = family.interval
+        p = np.full(n, 0.5 * (lo + hi))
+        grid = np.linspace(lo, hi, _GRID + 2)
+        lines = list(range(n))
+
+        def moved(p, i, t):
+            q = p.copy()
+            q[i] = t
+            return q
+    else:
+        p = np.eye(n)[0]
         grid = 2 * np.pi / _GRID * np.arange(-1, _GRID + 1)
-        params = lambda t: np.array([np.cos(t), np.sin(t)])
-    else:
-        grid = None
-    if grid is None:
-        p = _lockstep_descent(losses, family, config)
-    else:
-        loss = lambda t: float(losses(params(t)[None])[0])
-        p = params(_angle_search(loss, grid, [loss(t) for t in grid], _FIT_XATOL))
+        lines = list(combinations(range(n), 2))
+
+        def moved(p, line, t):
+            (i, j), c, s = line, np.cos(t), np.sin(t)
+            q = p.copy()
+            q[i], q[j] = c * p[i] - s * p[j], s * p[i] + c * p[j]
+            return q
+
+    for _ in range(1 if len(lines) == 1 else _MAX_SWEEPS):
+        start = p
+        for line in lines:
+            if family.constraint == "unit-norm" and not p[list(line)].any():
+                continue
+            loss = lambda t: float(losses(moved(p, line, t)[None])[0])
+            t = _angle_search(loss, grid, [loss(t) for t in grid], _FIT_XATOL)
+            p = moved(p, line, t)
+        if np.max(np.abs(p - start)) <= _SWEEP_TOL:
+            break
+    if not lines:
+        p = min((p, -p), key=lambda q: losses(q[None])[0])
     if family.kind == "reflection-2d" and p[np.argmax(np.abs(p))] < 0:
         p = -p  # S(-p) = S(p): report the normal with its largest entry positive
     boundary = False
     if family.constraint == "interval":
-        lo, hi = family.interval
         tol = 1e-6 * (hi - lo)
         boundary = bool(np.any(p - lo < tol) or np.any(hi - p < tol))
     return DiscreteFitResult(p, float(losses(p[None])[0]),

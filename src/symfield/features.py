@@ -47,6 +47,13 @@ class FeatureAtom:
         if self.kind in ("sin", "cos") and self.axis < 0:
             raise ValueError("trig atom needs a coordinate axis")
 
+    def fits(self, n: int) -> bool:
+        """Whether the atom is a function on R^n: one exponent per coordinate,
+        or a trig axis below n."""
+        if self.kind in ("sin", "cos"):
+            return self.axis < n
+        return len(self.exponents) == n and all(a.fits(n) for a, _ in self.factor)
+
     @property
     def artificial(self) -> bool:
         return self.kind == "product"
@@ -141,6 +148,10 @@ class FeatureBasis:
             raise ValueError("dimension must be >= 1")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("basis contains duplicate atoms")
+        for atom in self.atoms:
+            if not atom.fits(self.dimension):
+                raise ValueError(
+                    f"atom {atom.label()} does not fit dimension {self.dimension}")
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -30,14 +30,6 @@ class SmoothMapModel:
         if len(dims) != 1:
             raise ValueError("components disagree on input dimension")
 
-    @property
-    def input_dimension(self) -> int:
-        return self.components[0].basis.dimension
-
-    @property
-    def output_dimension(self) -> int:
-        return len(self.components)
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.column_stack([c(points) for c in self.components])

@@ -102,12 +102,6 @@ class LevelSetModel:
     def n_components(self) -> int:
         return self.W.shape[1]
 
-    def components(self) -> list[ScalarFunctionModel]:
-        return [
-            ScalarFunctionModel(self.basis, self.W[:, j])
-            for j in range(self.W.shape[1])
-        ]
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return design_matrix(self.basis, points) @ self.W
 
@@ -301,8 +295,9 @@ class KdeModel:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.centers.shape[0],):
             raise ValueError("one weight per center required")
-        if np.any(self.weights < 0) or self.weights.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
+        if not (np.all(np.isfinite(self.weights)) and np.all(self.weights >= 0)
+                and self.weights.sum() > 0):
+            raise ValueError("weights must be finite, nonnegative, with positive sum")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be finite and positive")
 
@@ -331,11 +326,6 @@ def kde_fit(
         )
     if weights is None:
         weights = np.ones(data.shape[0])
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    if weights.sum() <= 0:
-        raise ValueError("total weight must be positive")
     h = scott_bandwidth(data) if bandwidth == "scott" else float(bandwidth)
     return KdeModel(data, weights, h)
 

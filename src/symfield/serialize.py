@@ -128,8 +128,16 @@ def model_to_dict(model, centers_file: str | None = None) -> dict:
 
 
 def model_from_dict(d: dict, base_dir: str = "."):
+    """Inverse of model_to_dict; a malformed part raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError("a model JSON must be an object")
+    try:
+        return _model_from_dict(d, base_dir)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model: {type(exc).__name__}: {exc}") from exc
+
+
+def _model_from_dict(d: dict, base_dir: str):
     kind = d["type"]
     if kind == "scalar":
         return ScalarFunctionModel(

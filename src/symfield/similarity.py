@@ -39,6 +39,8 @@ class IntegrationDomain:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != self.upper.shape:
             raise ValueError("bound shapes differ")
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+            raise ValueError("bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("need lower < upper componentwise")
 

@@ -340,12 +340,16 @@ def flow_integrate(
     multiplies one (n, m) coefficient matrix by the atom values, which a
     polynomial basis takes from one product over a table of coordinate
     powers, indexed by its (m, n) exponent table, not from a design-matrix
-    row.  x0 must be a finite length-n vector and t finite.
+    row.  A VectorFieldModel must hold one field; x0 must be a finite
+    length-n vector and t finite.
 
     Returns the (steps + 1, n) array of states including the start point.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if isinstance(field, VectorFieldModel) and field.n_fields != 1:
+        raise ValueError(
+            f"flow integrates a single field; the model holds {field.n_fields}")
     x = np.array(x0, dtype=float)
     if x.shape != (field.dimension,):
         raise ValueError(

@@ -585,3 +585,104 @@ def test_gen_disc_rot_k_must_be_integral(tmp_path, k, code):
         assert out.read_bytes() == (tmp_path / "e.csv").read_bytes()
     else:
         assert not out.exists()
+
+
+def test_flow_refuses_a_model_of_several_fields(tmp_path, monkeypatch, capsys):
+    # find-vf --c 2 writes such a model; flow used to integrate field 0
+    monkeypatch.chdir(tmp_path)
+    columns = np.zeros((6, 2))
+    columns[[2, 4], 0] = [1.0, -1.0]
+    columns[[1, 5], 1] = [1.0, 1.0]
+    save_model(sf.VectorFieldModel(monomial_basis(2, 1), columns), "vf.json")
+    assert run("flow", "--field", "vf.json", "--x0", "1,0", "--t", "1",
+               "--out", "t.csv") == 2
+    assert "single field" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sim", "--truth", "rot.json", "--estimate", "rot.json",
+     "--lower", "nan,0", "--upper", "1,1"],
+    ["sim", "--truth", "rot.json", "--estimate", "rot.json",
+     "--lower", "0,0", "--upper", "inf,1"],
+    ["grid", "--model", "rot.json", "--lower", "nan,0", "--upper", "1,1"],
+    ["grid", "--model", "rot.json", "--lower", "0,0", "--upper", "1,-inf"],
+    ["flow", "--field", "rot.json", "--x0", "1,inf", "--t", "1"],
+    ["pullback", "--source", "d.csv", "--image", "d.csv", "--point", "nan,0"],
+    ["fit-kde", "--data", "t.csv", "--weights", "target", "--weight-power", "nan"],
+])
+def test_non_finite_numbers_fail(tmp_path, monkeypatch, command):
+    # sim wrote "aggregate": NaN, which is not JSON; grid and fit-kde wrote NaN
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    write_csv("t.csv", np.random.default_rng(1).standard_normal((20, 2)),
+              np.random.default_rng(2).uniform(0.5, 1.0, 20))
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    assert run(*command, "--out", "out.json") == 2
+    assert not (tmp_path / "out.json").exists()
+
+
+def _malformed_model_files():
+    scalar = model_to_dict(poly_model(monomial_basis(2, 1), {(1, 0): 1.0}))
+    return {
+        "basis5.json": {**scalar, "basis": 5},
+        "atoms5.json": {**scalar, "basis": {"dimension": 2, "atoms": 5}},
+        "components.json": {"type": "basisfield", "components": [1, 2]},
+        "sin7.json": {"type": "scalar", "coefficients": [1.0], "basis": {
+            "dimension": 2, "atoms": [{"kind": "sin", "axis": 7}]}},
+        "short.json": {"type": "scalar", "coefficients": [1.0], "basis": {
+            "dimension": 2, "atoms": [{"kind": "monomial", "exponents": [1]}]}},
+    }
+
+
+@pytest.mark.parametrize("command", [
+    ["grid", "--model", name, "--lower", "0,0", "--upper", "1,1"]
+    for name in sorted(_malformed_model_files())
+] + [
+    ["sim", "--truth", "components.json", "--estimate", "components.json",
+     "--data", "d.csv"],
+    ["fit-levelset", "--data", "d.csv", "--strategy", "extend-columns",
+     "--known", "basis5.json"],
+    ["discrete", "--model", "kde.json", "--data", "d.csv",
+     "--family", "density-rotation", "--reference", "list.json"],
+])
+def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
+    # each of these raised a TypeError or IndexError (exit 1), except the
+    # monomial with too few exponents, which grid evaluated as if x2 were absent
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    centers = np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])
+    write_csv("d.csv", centers[rng.integers(0, 3, 90)]
+              + 0.1 * rng.standard_normal((90, 2)))
+    save_model(sf.kde_fit(read_csv("d.csv")[0]), "kde.json")
+    for name, model in _malformed_model_files().items():
+        save_json(model, name)
+    save_json([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], "list.json")
+    out = "out" if command[0] == "fit-levelset" else "out.json"
+    assert run(*command, "--out", out) == 2
+    assert not (tmp_path / out).exists() or not os.listdir(tmp_path / out)
+
+
+@pytest.mark.parametrize("command,seeded", [
+    ("gen", True), ("fit-levelset", True), ("find-vf", True),
+    ("find-invariants", True), ("sim", True), ("fit-fn", False),
+    ("fit-kde", False), ("flow-param", False), ("flow", False),
+    ("pullback", False), ("transform", False), ("grid", False),
+    ("discrete", False),
+])
+def test_only_commands_that_read_a_seed_take_seed(capsys, command, seeded):
+    with pytest.raises(SystemExit):
+        run(command, "--help")
+    assert ("--seed" in capsys.readouterr().out) == seeded
+
+
+def test_transform_angle_and_flow_param_are_exclusive(tmp_path, monkeypatch):
+    # --angle used to drop the flow parameter silently
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    save_model(poly_model(monomial_basis(2, 1), {(1, 0): 1.0}), "fp.json")
+    with pytest.raises(SystemExit) as exit_:
+        run("transform", "--data", "d.csv", "--flow-param", "fp.json",
+            "--angle", "--out", "c.csv")
+    assert exit_.value.code == 2
+    assert not (tmp_path / "c.csv").exists()

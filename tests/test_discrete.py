@@ -342,84 +342,127 @@ TWO_ANGLE_ENTRIES = [
     [_op("cos", _p(0)), _op("sin", _p(1))],
     [_op("neg", _op("sin", _p(1))), _op("cos", _p(0))],
 ]
+# [[p0, p1], [p1, -p0]] is odd in p: M(-p) = -M(p), so no sign may be flipped
+ODD_ENTRIES = [[_p(0), _p(1)], [_p(1), _op("neg", _p(0))]]
+# the same with a third parameter, so that p turns in three planes
+ODD_THREE_ENTRIES = [[_p(0), _op("add", _p(1), _p(2))], [_p(1), _op("neg", _p(0))]]
 
 
-def _reference_fit(f, data, family, config, n_starts=8, h=1e-6):
-    """fit_discrete's descent one start at a time: scalar central differences
-    and a per-start retraction or clamp, as before the starts ran in
-    lockstep.  No sign is normalised: only reflection-2d, which is searched
-    as an angle, has S(-p) = S(p)."""
-    def objective(p):
-        r = f(data @ family.matrix(p).T) - f(data)
-        if config.loss == "mean-squared":
-            return float(np.mean(r * r))
-        return float(np.mean(np.abs(r)))
+def _parametric_inputs(seed):
+    """The benchmark's parametric-discrete inputs: a parabola's points, plane
+    points, f = y - x^2 and f = x^3 - 3 x y^2."""
+    rng = np.random.default_rng([seed, 5])
+    x = rng.uniform(-2, 2, 300)
+    parabola = np.column_stack([x, x**2])
+    plane = rng.standard_normal((300, 2))
+    f_parabola = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
+    f_three = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
+    return parabola, plane, f_parabola, f_three
 
-    n = family.n_params
-    rng = np.random.default_rng(config.seed)
-    if family.constraint == "unit-norm":
-        starts = [retract(np.zeros((n, 1)), rng.standard_normal((n, 1)))[:, 0]
-                  for _ in range(n_starts)]
+
+def _one_dimensional_reference(f, data, family, loss_kind):
+    """fit_discrete's one-dimensional path before the coordinate sweeps:
+    theta itself on an interval family with one parameter, and
+    p = (cos phi, sin phi) on a unit-norm family with two."""
+    base = f(data)
+
+    def losses(P):
+        return _residual_losses(f, data, base, family, P, loss_kind)
+
+    if family.constraint == "interval":
+        grid, params = np.linspace(*family.interval, 66), np.atleast_1d
     else:
-        lo, hi = family.interval
-        starts = [np.full(n, lo + (hi - lo) * (i + 0.5) / n_starts)
-                  for i in range(n_starts)]
-    best = None
-    for p in starts:
-        acc = np.zeros(n)
-        for _ in range(config.epochs):
-            g = np.zeros(n)
-            for i in range(n):
-                up, dn = p.copy(), p.copy()
-                up[i] += h
-                dn[i] -= h
-                g[i] = (objective(up) - objective(dn)) / (2 * h)
-            if config.algorithm == "riemannian-adagrad":
-                step = config.learning_rate * g / np.sqrt(
-                    acc + config.adagrad_epsilon)
-                acc += g * g
-            else:
-                step = config.learning_rate * g
-            if family.constraint == "unit-norm":
-                W = p[:, None]
-                p = retract(W, -tangent_project(W, step[:, None]))[:, 0]
-            else:
-                p = np.clip(p - step, lo, hi)
-        key = (objective(p), tuple(p))
-        if best is None or key < best[0]:
-            best = (key, p)
-    (loss, _), p = best
-    return p, loss
+        grid = 2 * np.pi / 64 * np.arange(-1, 65)
+        params = lambda t: np.array([np.cos(t), np.sin(t)])
+    loss = lambda t: float(losses(params(t)[None])[0])
+    p = params(_angle_search(loss, grid, [loss(t) for t in grid], 1e-10))
+    if family.kind == "reflection-2d" and p[np.argmax(np.abs(p))] < 0:
+        p = -p
+    return p, float(losses(p[None])[0])
 
 
-def _reference_cases():
-    """The families that fit_discrete still fits by finite differences."""
+def _counted(f):
+    calls = []
+    return lambda X: calls.append(1) or f(X), calls
+
+
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+@pytest.mark.parametrize("seed", [401, 11, 977])
+@pytest.mark.parametrize("case", ["rotation", "reflection", "user-linear-one",
+                                  "user-linear-two", "user-linear-odd"])
+def test_one_line_families_match_one_dimensional_reference(case, seed, loss):
+    # a family with one line gets one search, bit for bit the path it had
+    parabola, plane, f_parabola, f_three = _parametric_inputs(seed)
+    f, data, family = {
+        "rotation": (f_three, plane, rotation_family(1.0, 3.0)),
+        "reflection": (f_parabola, parabola, reflection_family()),
+        "user-linear-one": (f_three, plane, user_linear_family(
+            ROTATION_ENTRIES, 1, "interval", (1.0, 3.0))),
+        "user-linear-two": (f_parabola, parabola,
+                            user_linear_family(REFLECTION_ENTRIES, 2)),
+        "user-linear-odd": (f_parabola, parabola,
+                            user_linear_family(ODD_ENTRIES, 2)),
+    }[case]
+    counted, calls = _counted(f)
+    result = fit_discrete(counted, data, family, sf.OptimizerConfig(loss=loss))
+    counted_ref, calls_ref = _counted(f)
+    p, final_loss = _one_dimensional_reference(counted_ref, data, family, loss)
+    assert result.parameters.tolist() == p.tolist()
+    assert result.final_loss == final_loss
+    assert len(calls) == len(calls_ref)
+
+
+def test_fit_reads_only_the_loss_of_its_config():
+    parabola, _, f_parabola, _ = _parametric_inputs(401)
+    family = user_linear_family(ODD_THREE_ENTRIES, 3)
+    a = fit_discrete(f_parabola, parabola, family, sf.OptimizerConfig(
+        "riemannian-adagrad", "mean-squared", 0.05, 10, seed=1))
+    b = fit_discrete(f_parabola, parabola, family, sf.OptimizerConfig(
+        "riemannian-sgd", "mean-squared", 0.5, 300, seed=7))
+    assert a.parameters.tolist() == b.parameters.tolist()
+    assert a.final_loss == b.final_loss
+
+
+@pytest.mark.parametrize("loss,tol", [("mean-squared", 1e-12),
+                                      ("mean-absolute", 1e-6)])
+def test_two_angle_interval_family_reaches_planted_rotation(loss, tol):
+    # Re (x + i y)^3 is preserved by [[cos a, sin b], [-sin b, cos a]] on
+    # (1, 3)^2 only at the turn by 2 pi / 3: a = 2 pi / 3 and b = pi / 3 or
+    # 2 pi / 3, of which the smaller is taken
     rng = np.random.default_rng(11)
-    x = rng.uniform(-2, 2, 40)
+    rng.uniform(-2, 2, 40)
     plane = rng.standard_normal((40, 2))
     f_three = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
-    f_mixed = poly_model(monomial_basis(2, 2),
-                         {(2, 0): 1.0, (1, 1): 0.5, (0, 2): 2.0, (1, 0): 0.3})
-    return {
-        "user-linear-three-params": (
-            f_mixed, plane, user_linear_family(SYMMETRIC_ENTRIES, 3)),
-        "user-linear-two-params-interval": (
-            f_three, plane, user_linear_family(
-                TWO_ANGLE_ENTRIES, 2, "interval", (1.0, 3.0))),
-    }
+    family = user_linear_family(TWO_ANGLE_ENTRIES, 2, "interval", (1.0, 3.0))
+    result = fit_discrete(f_three, plane, family, sf.OptimizerConfig(loss=loss))
+    np.testing.assert_allclose(result.parameters, [2 * np.pi / 3, np.pi / 3],
+                               rtol=0, atol=1e-6)
+    assert result.final_loss <= tol
+    assert not result.excluded_region_active
 
 
-@pytest.mark.parametrize("algorithm", ["riemannian-adagrad", "riemannian-sgd"])
-@pytest.mark.parametrize("loss", ["mean-absolute", "mean-squared"])
-@pytest.mark.parametrize("case", sorted(_reference_cases()))
-def test_lockstep_fit_matches_per_start_reference(case, loss, algorithm):
-    f, data, family = _reference_cases()[case]
-    cfg = sf.OptimizerConfig(algorithm, loss, 0.05, 40, seed=5)
-    result = fit_discrete(f, data, family, cfg)
-    p, final_loss = _reference_fit(f, data, family, cfg)
-    np.testing.assert_allclose(result.parameters, p, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(result.final_loss, final_loss,
-                               rtol=1e-6, atol=1e-18)
+@pytest.mark.parametrize("loss,tol", [("mean-squared", 1e-12),
+                                      ("mean-absolute", 1e-6)])
+def test_three_parameter_unit_norm_family_reaches_planted_reflection(loss, tol):
+    # f = y - x^2 is preserved by [[p0, p1 + p2], [p1, -p0]] on the unit
+    # sphere only at p = (-1, 0, 0), which is diag(-1, 1)
+    data = np.random.default_rng(17).standard_normal((300, 2))
+    f = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
+    family = user_linear_family(ODD_THREE_ENTRIES, 3)
+    result = fit_discrete(f, data, family, sf.OptimizerConfig(loss=loss))
+    np.testing.assert_allclose(result.parameters, [-1.0, 0.0, 0.0],
+                               rtol=0, atol=1e-6)
+    assert result.final_loss <= tol
+
+
+def test_one_parameter_unit_norm_family_compares_both_points():
+    # the unit sphere of one parameter is +-1; here -1 is the identity
+    data = np.random.default_rng(18).standard_normal((50, 2))
+    f = poly_model(monomial_basis(2, 1), {(1, 0): 1.0, (0, 1): 1.0})
+    family = user_linear_family([[_op("neg", _p(0)), 0], [0, 1]], 1)
+    result = fit_discrete(f, data, family, sf.OptimizerConfig())
+    assert result.parameters.tolist() == [-1.0]
+    assert result.final_loss == 0.0
 
 
 def _random_profile(rng):
@@ -530,11 +573,6 @@ def test_rotation_fit_on_benchmark_seed_977():
     assert result.parameters[0] == pytest.approx(2 * np.pi / 3, abs=1e-6)
     assert result.final_loss <= 1e-12
 
-
-# [[p0, p1], [p1, -p0]] is odd in p: M(-p) = -M(p), so no sign may be flipped
-ODD_ENTRIES = [[_p(0), _p(1)], [_p(1), _op("neg", _p(0))]]
-# the same with a third parameter that only the descent can fit
-ODD_THREE_ENTRIES = [[_p(0), _op("add", _p(1), _p(2))], [_p(1), _op("neg", _p(0))]]
 
 
 @pytest.mark.parametrize("entries,n_params", [(ODD_ENTRIES, 2),

@@ -83,6 +83,21 @@ def test_negative_exponent_rejected():
         FeatureAtom("monomial", (-1, 0))
 
 
+@pytest.mark.parametrize("atom", [
+    FeatureAtom("monomial", (1,)),  # too few exponents for R^2
+    FeatureAtom("monomial", (1, 0, 0)),
+    FeatureAtom("sin", axis=2),
+    FeatureAtom("cos", axis=7),
+    FeatureAtom("product", (1, 0), factor=((FeatureAtom("monomial", (1,)), 1.0),)),
+    FeatureAtom("product", (1, 0), factor=((FeatureAtom("sin", axis=5), 1.0),)),
+])
+def test_atom_must_fit_basis_dimension(atom):
+    with pytest.raises(ValueError, match="does not fit dimension 2"):
+        FeatureBasis(2, (atom,))
+    with pytest.raises(ValueError):
+        monomial_basis(2, 1).extend([atom])
+
+
 def test_trig_atom_needs_axis():
     with pytest.raises(ValueError):
         FeatureAtom("sin")

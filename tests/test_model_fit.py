@@ -367,3 +367,6 @@ def test_kde_rejects_bad_weights():
         kde_fit(data, np.array([1.0, -1.0, 0.0]))
     with pytest.raises(ValueError):
         kde_fit(data, np.zeros(3))
+    for bad in (np.nan, np.inf):  # NaN passes "< 0" and "sum <= 0"
+        with pytest.raises(ValueError, match="finite"):
+            KdeModel(data, np.array([1.0, bad, 0.0]), 0.5)

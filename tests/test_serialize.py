@@ -3,7 +3,13 @@ import pytest
 
 import symfield as sf
 from symfield.features import FeatureAtom, FeatureBasis, monomial_basis, trig_extend
-from symfield.model_fit import KdeModel, LevelSetModel, kde_eval, kde_fit
+from symfield.model_fit import (
+    KdeModel,
+    LevelSetModel,
+    ScalarFunctionModel,
+    kde_eval,
+    kde_fit,
+)
 from symfield.serialize import (
     atom_from_dict,
     atom_to_dict,
@@ -121,6 +127,31 @@ def test_model_json_is_sorted_with_trailing_newline(tmp_path):
     assert text.endswith("\n")
     d = load_json(str(path))
     assert list(d.keys()) == sorted(d.keys())
+
+
+def _scalar_dict():
+    return model_to_dict(ScalarFunctionModel(monomial_basis(2, 1), np.ones(3)))
+
+
+@pytest.mark.parametrize("model", [
+    {**_scalar_dict(), "basis": 5},
+    {**_scalar_dict(), "basis": {"dimension": 2, "atoms": 5}},
+    {**_scalar_dict(), "basis": {"dimension": 2, "atoms": [5, 6, 7]}},
+    {**_scalar_dict(), "basis": {"atoms": []}},
+    {"type": "scalar", "basis": {"dimension": 2, "atoms": [
+        {"kind": "sin", "axis": 7}]}, "coefficients": [1.0]},
+    {"type": "scalar", "basis": {"dimension": 2, "atoms": [
+        {"kind": "monomial", "exponents": [1]}]}, "coefficients": [1.0]},
+    {"type": "scalar", "basis": {"dimension": 2, "atoms": [
+        {"kind": "monomial", "exponents": 5}]}, "coefficients": [1.0]},
+    {"type": "basisfield", "components": [1, 2]},
+    {"type": "basisfield", "components": 5},
+    {"type": "levelset", "basis": _scalar_dict()["basis"]},
+    {"basis": 5},
+])
+def test_malformed_model_parts_raise_value_error(model):
+    with pytest.raises(ValueError):
+        model_from_dict(model)
 
 
 def test_unknown_payloads_rejected():

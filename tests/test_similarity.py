@@ -148,6 +148,15 @@ def test_product_atoms_integrate_analytically():
     assert rep.per_component[0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("lower,upper", [
+    ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0]),
+    ([-np.inf, 0.0], [1.0, 1.0]),
+])
+def test_domain_bounds_must_be_finite(lower, upper):
+    with pytest.raises(ValueError, match="finite"):
+        IntegrationDomain(np.array(lower), np.array(upper))
+
+
 def test_dimension_checks():
     X = random_quadratic_field(5)
     Y3 = poly_field(3, 1, {}, {}, {})

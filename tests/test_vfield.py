@@ -262,6 +262,15 @@ def test_flow_rejects_bad_start_or_time(x0, t):
         flow_integrate(rotation_field_2d(), x0, t, 10)
 
 
+def test_flow_refuses_a_model_of_several_fields():
+    basis = monomial_basis(2, 1)
+    X = VectorFieldModel(basis, np.ones((2 * len(basis), 2)))
+    with pytest.raises(ValueError, match="single field"):
+        flow_integrate(X, [1.0, 0.0], 1.0, 10)
+    assert flow_integrate(VectorFieldModel(basis, X.columns[:, :1]),
+                          [1.0, 0.0], 1.0, 10).shape == (11, 2)
+
+
 def _reference_flow(field, x0, t, steps):
     """flow_integrate before the velocity was built once: one field call per
     RK4 stage, each component through its own design-matrix row."""
@@ -293,8 +302,9 @@ def _reference_flow(field, x0, t, steps):
 def test_polynomial_flow_bitwise_equals_reference(n, degree):
     rng = np.random.default_rng(10 * n + degree)
     basis = monomial_basis(n, degree)
-    # two fields, so field 0's blocks are a strided view of the columns
-    X = VectorFieldModel(basis, 0.3 * rng.standard_normal((n * len(basis), 2)))
+    # one field whose blocks are a strided view of a two-column array
+    X = VectorFieldModel(basis, (0.3 * rng.standard_normal((n * len(basis), 2)))[:, :1])
+    assert not X.blocks(0).flags.contiguous
     x0 = rng.uniform(-1, 1, n)
     assert np.array_equal(flow_integrate(X, x0, 0.7, 60),
                           _reference_flow(X, x0, 0.7, 60))
