@@ -161,45 +161,44 @@ def _elbow_fit(data, basis, args, config):
 def cmd_fit_levelset(args) -> None:
     data, _ = read_csv(args.data)
     config = _opt_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    out = lambda name: os.path.join(args.out, name)
+    outputs = {}  # file name -> model, table or JSON object
 
     if args.strategy == "project-affine":
-        affine, trace = _elbow_fit(
+        affine, outputs["affine_elbow.json"] = _elbow_fit(
             data, monomial_basis(data.shape[1], 1), args, config
         )
-        save_model(affine, out("affine_model.json"))
-        if trace is not None:
-            save_json(trace, out("affine_elbow.json"))
+        outputs["affine_model.json"] = affine
         reduced, frame = model_fit.project_onto_affine(data, affine)
-        write_csv(out("reduced.csv"), reduced)
-        save_json(
-            {
-                "origin": frame.origin.tolist(),
-                "axes": [col.tolist() for col in frame.axes.T],
-            },
-            out("frame.json"),
-        )
-        if reduced.shape[1] == 0:
-            return
-        basis = _basis_for(args, reduced.shape[1])
-        model, trace = _elbow_fit(reduced, basis, args, config)
-        save_model(model, out("reduced_model.json"))
-        if trace is not None:
-            save_json(trace, out("reduced_elbow.json"))
-        return
+        outputs["reduced.csv"] = reduced
+        outputs["frame.json"] = {
+            "origin": frame.origin.tolist(),
+            "axes": [col.tolist() for col in frame.axes.T],
+        }
+        if reduced.shape[1] > 0:
+            basis = _basis_for(args, reduced.shape[1])
+            outputs["reduced_model.json"], outputs["reduced_elbow.json"] = (
+                _elbow_fit(reduced, basis, args, config))
+    else:
+        basis = _basis_for(args, data.shape[1])
+        if args.strategy == "extend-columns":
+            known = [_load_model(p, ScalarFunctionModel) for p in args.known or []]
+            basis = model_fit.extend_degenerate_columns(basis, known, args.degree)
+        model, outputs["elbow.json"] = _elbow_fit(data, basis, args, config)
+        if args.strategy == "extend-columns":
+            outputs["model_full.json"] = model
+            model = model.strip_artificial()
+        outputs["model.json"] = model
 
-    basis = _basis_for(args, data.shape[1])
-    if args.strategy == "extend-columns":
-        known = [_load_model(p, ScalarFunctionModel) for p in args.known or []]
-        basis = model_fit.extend_degenerate_columns(basis, known, args.degree)
-    model, trace = _elbow_fit(data, basis, args, config)
-    if args.strategy == "extend-columns":
-        save_model(model, out("model_full.json"))
-        model = model.strip_artificial()
-    save_model(model, out("model.json"))
-    if trace is not None:
-        save_json(trace, out("elbow.json"))
+    # nothing is written until every fit has passed
+    os.makedirs(args.out, exist_ok=True)
+    for name, value in outputs.items():
+        path = os.path.join(args.out, name)
+        if isinstance(value, np.ndarray):
+            write_csv(path, value)
+        elif isinstance(value, dict):
+            save_json(value, path)
+        elif value is not None:  # an elbow trace is None under --k
+            save_model(value, path)
 
 
 def cmd_fit_kde(args) -> None:

@@ -10,7 +10,8 @@ loss.  fit_density_rotation runs it once on a thinned model and refines on
 the full data.  fit_discrete runs it along one line of the parameter set at
 a time (a coordinate of an interval family, a turn in one coordinate plane
 of a unit-norm family) and sweeps the lines until the parameters stop
-moving.
+moving; it scores each line's grid in stacked calls of f, each on at most
+_BLOCK_POINTS transformed points.
 """
 
 from __future__ import annotations
@@ -214,6 +215,7 @@ def _residual_losses(f, data, base, family, P, loss_kind) -> np.ndarray:
 
 
 _GRID = 64  # both searches' coarse grids have _GRID + 2 angles
+_BLOCK_POINTS = 1 << 12  # most transformed points in one grid call of f
 _THIN = 4096  # centres in density rotation's coarse stage, queried at themselves
 _FIT_XATOL = 1e-10  # fit_discrete's line-search tolerance
 _SWEEP_TOL = 1e-8  # fit_discrete stops when a sweep moves no coordinate further
@@ -325,8 +327,10 @@ def fit_discrete(
     by t in a coordinate plane in which p has a component, with t on a grid
     one spacing past both ends of [0, 2 pi]; with one parameter the better
     of +-e0 is taken.  Sweeps repeat until no coordinate moves by more than
-    _SWEEP_TOL, at most _MAX_SWEEPS times; one line gets one search.  Only
-    config.loss is read.
+    _SWEEP_TOL, at most _MAX_SWEEPS times; one line gets one search.  Each
+    grid is scored in blocks of _BLOCK_POINTS // N angles (at least one),
+    one call of f per block; a row's loss does not depend on its block.
+    Only config.loss is read.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != family.dimension:
@@ -336,6 +340,7 @@ def fit_discrete(
     def losses(P):
         return _residual_losses(f, data, base, family, P, config.loss)
 
+    per_call = max(1, _BLOCK_POINTS // len(data))
     n = family.n_params
     if family.constraint == "interval":
         lo, hi = family.interval
@@ -364,7 +369,10 @@ def fit_discrete(
             if family.constraint == "unit-norm" and not p[list(line)].any():
                 continue
             loss = lambda t: float(losses(moved(p, line, t)[None])[0])
-            t = _angle_search(loss, grid, [loss(t) for t in grid], _FIT_XATOL)
+            rows = np.array([moved(p, line, t) for t in grid])
+            vals = np.concatenate([losses(rows[i:i + per_call])
+                                   for i in range(0, len(rows), per_call)])
+            t = _angle_search(loss, grid, vals.tolist(), _FIT_XATOL)
             p = moved(p, line, t)
         if np.max(np.abs(p - start)) <= _SWEEP_TOL:
             break

@@ -660,7 +660,22 @@ def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
     save_json([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], "list.json")
     out = "out" if command[0] == "fit-levelset" else "out.json"
     assert run(*command, "--out", out) == 2
-    assert not (tmp_path / out).exists() or not os.listdir(tmp_path / out)
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("probe", [
+    ["--k", "0"],
+    ["--strategy", "project-affine", "--k", "0"],
+    ["--strategy", "extend-columns", "--known", "basis5.json"],
+])
+def test_failed_fit_levelset_creates_no_output_directory(tmp_path, monkeypatch,
+                                                          probe):
+    # a command that fails validation writes nothing, not even a directory
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((40, 2)))
+    save_json(_malformed_model_files()["basis5.json"], "basis5.json")
+    assert run("fit-levelset", "--data", "d.csv", *probe, "--out", "out") == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,seeded", [

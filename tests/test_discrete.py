@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from symfield.discrete import (
     rotation_generator,
     similarity_matrix,
     user_linear_family,
+    _BLOCK_POINTS,
     _angle_search,
     _brent,
     _residual_losses,
@@ -391,7 +395,9 @@ def _counted(f):
 @pytest.mark.parametrize("case", ["rotation", "reflection", "user-linear-one",
                                   "user-linear-two", "user-linear-odd"])
 def test_one_line_families_match_one_dimensional_reference(case, seed, loss):
-    # a family with one line gets one search, bit for bit the path it had
+    # a family with one line gets one search, bit for bit the path it had;
+    # the reference scores one grid angle per call of f, the fit a block of
+    # _BLOCK_POINTS // len(data) angles per call
     parabola, plane, f_parabola, f_three = _parametric_inputs(seed)
     f, data, family = {
         "rotation": (f_three, plane, rotation_family(1.0, 3.0)),
@@ -409,7 +415,59 @@ def test_one_line_families_match_one_dimensional_reference(case, seed, loss):
     p, final_loss = _one_dimensional_reference(counted_ref, data, family, loss)
     assert result.parameters.tolist() == p.tolist()
     assert result.final_loss == final_loss
-    assert len(calls) == len(calls_ref)
+    per_call = _BLOCK_POINTS // len(data)
+    assert len(calls) == len(calls_ref) - 66 + math.ceil(66 / per_call)
+
+
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+@pytest.mark.parametrize("n_points", [300, 500, 682])  # last block 1, 2, full
+@pytest.mark.parametrize("case", ["two-angle", "odd-three"])
+def test_stacked_grid_losses_equal_one_angle_losses(monkeypatch, case,
+                                                    n_points, loss):
+    rng = np.random.default_rng(n_points)
+    data = rng.standard_normal((n_points, 2))
+    if case == "two-angle":
+        f = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
+        family = user_linear_family(TWO_ANGLE_ENTRIES, 2, "interval", (1.0, 3.0))
+    else:
+        f = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
+        family = user_linear_family(ODD_THREE_ENTRIES, 3)
+    calls = []  # (arguments, result) of each _residual_losses call
+
+    def recording(*args):
+        calls.append((args, _residual_losses(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(discrete, "_residual_losses", recording)
+    fit_discrete(f, data, family, sf.OptimizerConfig(loss=loss))
+    stacked = [(args, out) for args, out in calls if len(args[4]) > 1]
+    for (f_, data_, base, family_, P, loss_kind), out in stacked:
+        for row, value in zip(P, out):
+            one = _residual_losses(f_, data_, base, family_, row[None], loss_kind)
+            assert value.hex() == one[0].hex()
+    # each search's 66 grid angles come in blocks of per_call, the last
+    # holding what is left
+    per_call = _BLOCK_POINTS // n_points
+    full, last = divmod(66, per_call)
+    sizes = Counter(len(args[4]) for args, _ in stacked)
+    searches = sizes[per_call] // full
+    assert searches >= 2 and sizes[per_call] == full * searches
+    assert set(sizes) == {per_call, last} - {0, 1}
+    if last > 1:
+        assert sizes[last] == searches
+
+
+@pytest.mark.parametrize("n_points", [300, 5000])
+def test_grid_calls_of_f_stay_within_the_block_cap(n_points):
+    # above the cap each call of f holds one angle's points, as unstacked
+    plane = np.random.default_rng(7).standard_normal((n_points, 2))
+    f = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
+    rows = []
+    fit_discrete(lambda X: rows.append(len(X)) or f(X), plane,
+                 rotation_family(1.0, 3.0), CFG)
+    assert all(r % n_points == 0 for r in rows)
+    assert max(rows) <= max(_BLOCK_POINTS, n_points)
+    assert max(rows) == n_points * max(1, _BLOCK_POINTS // n_points)
 
 
 def test_fit_reads_only_the_loss_of_its_config():
