@@ -38,6 +38,9 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator {self.name!r}")
         if self.size < 1:
             raise ValueError("size must be >= 1")
+        unread = set(self.parameters) - ({"k"} if self.name == "disc-rot" else set())
+        if unread:
+            raise ValueError(f"{self.name} reads no parameter {sorted(unread)}")
 
     def to_dict(self) -> dict:
         return {

@@ -4,14 +4,16 @@ Fits the parameters of a transformation family so that a fitted function
 (or an estimated density) is preserved: reflections about a line through
 the origin, planar rotations by a fixed angle, and user-supplied linear
 families whose matrix entries are expression trees over the parameters.
-One angle search finds every symmetry: a coarse grid, Brent's bounded
-minimisation on each local minimum, and the smallest angle of comparable
-loss.  fit_density_rotation runs it once on a thinned model and refines on
-the full data.  fit_discrete runs it along one line of the parameter set at
-a time (a coordinate of an interval family, a turn in one coordinate plane
-of a unit-norm family) and sweeps the lines until the parameters stop
-moving; it scores each line's grid in stacked calls of f, each on at most
-_BLOCK_POINTS transformed points.
+Both fits search an angle on a coarse grid and refine it by Brent's bounded
+minimisation.  fit_density_rotation picks one grid minimum, the smallest
+angle of comparable grid loss, and refines it once when its coarse model is
+the full model, or on a thinned model and then on the full data.
+fit_discrete's _angle_search refines every grid minimum and takes the
+smallest angle of comparable refined loss; it runs along one line of the
+parameter set at a time (a coordinate of an interval family, a turn in one
+coordinate plane of a unit-norm family) and sweeps the lines until the
+parameters stop moving; it scores each line's grid in stacked calls of f,
+each on at most _BLOCK_POINTS transformed points.
 """
 
 from __future__ import annotations
@@ -393,20 +395,45 @@ def _thin(arr: np.ndarray) -> np.ndarray:
     return arr[::max(1, arr.shape[0] // _THIN)][:_THIN]
 
 
+def _density_candidate(grid: np.ndarray, vals) -> int:
+    """Index of the grid angle density rotation refines.
+
+    _angle_search's rule on the grid losses alone: the smallest interior
+    local minimum whose loss is at most 2 best + sqrt(eps) (grid loss range),
+    best over the interior minima, or with none the best grid point, an end.
+    A sampled density's loss does not vanish at a symmetry, and its grid
+    losses rank the minima as their refined losses do; fit_discrete's
+    zero-residual families need refined losses to tell a generator from its
+    multiples, so _angle_search refines them all.
+    """
+    interior = [i for i in range(1, len(grid) - 1)
+                if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
+    if not interior:
+        return int(np.argmin(vals))
+    floor = (2.0 * min(vals[i] for i in interior)
+             + _SQRT_EPS * (max(vals) - min(vals)))
+    return min(i for i in interior if vals[i] <= floor)
+
+
 def fit_density_rotation(
     kde: KdeModel, data: np.ndarray, theta_min: float
 ) -> DiscreteFitResult:
     """Rotation angle in (theta_min, 2 pi - theta_min) matching the estimated
     density.
 
-    Minimizes mean |p(S(theta) x_i) - p(x_i)|.  A coarse _angle_search
-    (xatol 1e-4) runs on a model of at most _THIN of kde's centres, thinned
-    at an even stride, and queries that model's own centres, which are the
-    data when kde was fitted on them.  Its grid pairs each angle theta with
-    2 pi - theta, and one kernel pass (kde_eval_mirrored) scores both.  One
-    _brent run (xatol 1e-5) within a grid spacing of its angle then uses the
-    full model and the full dataset.  excluded_region_active is set when the
-    angle is pinned at either end of the allowed range.
+    Minimizes mean |p(S(theta) x_i) - p(x_i)|.  A coarse grid of _GRID + 2
+    angles is scored on a model of at most _THIN of kde's centres, thinned
+    at an even stride, at that model's own centres, which are the data when
+    kde was fitted on them.  The grid pairs each angle theta with
+    2 pi - theta, and one kernel pass (kde_eval_mirrored) scores both.
+    _density_candidate picks one grid angle.  When the coarse model is the
+    full model (kde has at most _THIN centres and data equals them) one
+    _brent run (xatol 1e-5) between the angle's grid neighbours gives the
+    answer.  Otherwise a coarse _brent (xatol 1e-4) there, skipped at an end
+    of the grid, is followed by one _brent (xatol 1e-5) within a grid
+    spacing of its angle on the full model and the full dataset.
+    excluded_region_active is set when the angle is pinned at either end of
+    the allowed range.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:
@@ -418,28 +445,32 @@ def fit_density_rotation(
     theta_max = 2.0 * np.pi - theta_min
 
     def change_from(model, points):
-        """density -> mean |density - p(points)| under model."""
+        """theta -> mean |p(S(theta) points) - p(points)| under model, and
+        density -> mean |density - p(points)|."""
         base = kde_eval(model, points)
-        return lambda density: float(np.mean(np.abs(density - base)))
+        change = lambda density: float(np.mean(np.abs(density - base)))
+        return lambda t: change(kde_eval(model, _rotate(points, t))), change
 
     coarse = KdeModel(_thin(kde.centers), _thin(kde.weights), kde.bandwidth)
-    change = change_from(coarse, coarse.centers)
+    coarse_loss, change = change_from(coarse, coarse.centers)
     half = np.linspace(theta_min, theta_max, _GRID + 2)[: _GRID // 2 + 1]
     scored = [[change(p) for p in kde_eval_mirrored(coarse, t)] for t in half]
-    theta0 = _angle_search(
-        lambda t: change(kde_eval(coarse, _rotate(coarse.centers, t))),
-        np.concatenate([half, 2.0 * np.pi - half[::-1]]),
-        [ahead for ahead, _ in scored] + [behind for _, behind in scored[::-1]],
-        _COARSE_XATOL)
-    spacing = (theta_max - theta_min) / (_GRID + 1)
-    lo = max(theta_min, theta0 - spacing)
-    hi = min(theta_max, theta0 + spacing)
-    full = change_from(kde, data)
-    theta, loss = _brent(lambda t: full(kde_eval(kde, _rotate(data, t))),
-                         lo, hi, _DENSITY_XATOL)
+    grid = np.concatenate([half, 2.0 * np.pi - half[::-1]])
+    i = _density_candidate(
+        grid, [ahead for ahead, _ in scored] + [behind for _, behind in scored[::-1]])
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    if len(kde.centers) <= _THIN and np.array_equal(data, kde.centers):
+        theta, loss = _brent(coarse_loss, lo, hi, _DENSITY_XATOL)
+    else:
+        theta0 = (_brent(coarse_loss, lo, hi, _COARSE_XATOL)[0]
+                  if 0 < i < len(grid) - 1 else grid[i])
+        spacing = (theta_max - theta_min) / (_GRID + 1)
+        lo = max(theta_min, theta0 - spacing)
+        hi = min(theta_max, theta0 + spacing)
+        theta, loss = _brent(change_from(kde, data)[0], lo, hi, _DENSITY_XATOL)
     pinned = 10.0 * _DENSITY_XATOL
-    boundary = ((lo == theta_min and theta - theta_min < pinned)
-                or (hi == theta_max and theta_max - theta < pinned))
+    boundary = bool((lo == theta_min and theta - theta_min < pinned)
+                    or (hi == theta_max and theta_max - theta < pinned))
     return DiscreteFitResult(
         np.array([theta]), loss, excluded_region_active=boundary
     )

@@ -178,8 +178,8 @@ def select_components_elbow(
     elbow_ratio: float = 10.0,
 ) -> ElbowTrace:
     """Pick the component count just before the first large loss jump."""
-    if elbow_ratio <= 0:
-        raise ValueError("elbow_ratio must be positive")
+    if not (np.isfinite(elbow_ratio) and elbow_ratio > 0):
+        raise ValueError("elbow_ratio must be finite and positive")
     trace = ElbowTrace()
     losses = []
     for k in range(1, k_max + 1):
@@ -343,7 +343,11 @@ def _kernel_sums(
     # of where the data sit
     shift = model.centers.mean(axis=0)
     C = model.centers - shift
-    P = np.atleast_2d(np.asarray(points, dtype=float)) - shift
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    if P.ndim != 2 or P.shape[1] != model.dimension:
+        raise ValueError(f"points of shape {P.shape} for a "
+                         f"{model.dimension}-dimensional density")
+    P = P - shift
     h2 = model.bandwidth**2
     # a block's exponents -|p - c|^2 / (2 h^2) are one product [p, -1, -|p|^2] . rhs
     rhs = np.vstack([2.0 * C.T, (C * C).sum(axis=1), np.ones(len(C))]) / (2.0 * h2)

@@ -587,6 +587,38 @@ def test_gen_disc_rot_k_must_be_integral(tmp_path, k, code):
         assert not out.exists()
 
 
+def test_gen_refuses_a_parameter_its_generator_does_not_read(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run("gen", "--name", "cubic", "--size", "50", "--param", "foo=1",
+               "--out", out) == 2
+    assert "foo" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", "-5"])
+def test_fit_levelset_refuses_an_elbow_ratio_that_is_not_finite_and_positive(
+        tmp_path, monkeypatch, ratio):
+    # nan and inf used to exit 0, nan reporting no elbow and selecting k_max
+    monkeypatch.chdir(tmp_path)
+    run("gen", "--name", "circle3d", "--size", "100", "--out", "c.csv")
+    assert run("fit-levelset", "--data", "c.csv", f"--elbow-ratio={ratio}",
+               "--out", "ls") == 2
+    assert not (tmp_path / "ls").exists()
+
+
+def test_grid_refuses_one_dimensional_points_for_a_planar_density(
+        tmp_path, monkeypatch, capsys):
+    # the (n, 1) grid points used to broadcast against the 2-D centres, so
+    # the density was written at (x, x)
+    monkeypatch.chdir(tmp_path)
+    run("gen", "--name", "disc-rot", "--size", "200", "--out", "d.csv")
+    assert run("fit-kde", "--data", "d.csv", "--out", "kde.json") == 0
+    assert run("grid", "--model", "kde.json", "--lower", "0", "--upper", "1",
+               "--out", "g.csv") == 2
+    assert "2-dimensional density" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_flow_refuses_a_model_of_several_fields(tmp_path, monkeypatch, capsys):
     # find-vf --c 2 writes such a model; flow used to integrate field 0
     monkeypatch.chdir(tmp_path)

@@ -107,6 +107,15 @@ def test_spec_validation():
         GeneratorSpec("cubic", 0)
 
 
+def test_spec_refuses_parameters_its_generator_does_not_read():
+    with pytest.raises(ValueError, match="foo"):
+        GeneratorSpec("cubic", 10, 0, {"foo": 1.0})
+    with pytest.raises(ValueError, match="kk"):
+        GeneratorSpec("disc-rot", 10, 0, {"k": 7, "kk": 1.0})
+    with pytest.raises(ValueError):
+        GeneratorSpec("circle-uniform", 10, 0, {"k": 7})
+
+
 def test_spec_roundtrip():
     spec = GeneratorSpec("disc-rot", 42, 7, {"k": 5})
     again = GeneratorSpec.from_dict(spec.to_dict())

@@ -130,6 +130,15 @@ def test_elbow_no_jump_flag():
     assert trace.selected == 2
 
 
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 0.0, -5.0])
+def test_elbow_ratio_must_be_finite_and_positive(ratio):
+    # nan used to pass the positivity check and select k_max as "no elbow"
+    data, _ = sf.generate(sf.GeneratorSpec("circle3d", 50, 0))
+    with pytest.raises(ValueError, match="elbow_ratio"):
+        select_components_elbow(data, monomial_basis(3, 1), 2, MSE(),
+                                elbow_ratio=ratio)
+
+
 # --- affine projection ------------------------------------------------------
 
 def plane_z_model():
@@ -222,6 +231,15 @@ def test_kde_single_center_normalization():
     model = KdeModel(np.array([[0.0, 0.0]]), np.array([1.0]), 0.5)
     val = kde_eval(model, np.array([[0.0, 0.0]]))[0]
     assert val == pytest.approx((2 * np.pi * 0.25) ** -1, rel=1e-12)
+
+
+@pytest.mark.parametrize("points", [np.zeros((5, 1)), np.zeros((5, 3)), np.zeros(1)])
+def test_kde_refuses_points_of_another_dimension(points):
+    # (n, 1) points used to broadcast against a 2-D model's centres
+    model = KdeModel(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2), 0.5)
+    for evaluate in (kde_eval, kde_gradient):
+        with pytest.raises(ValueError, match="2-dimensional density"):
+            evaluate(model, points)
 
 
 def test_kde_gradient_zero_at_center_and_midpoint():
