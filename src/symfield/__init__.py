@@ -70,7 +70,6 @@ from .vfield import (
     BasisVectorField,
     FlowDivergedError,
     FlowParameterResult,
-    GradientProvider,
     VectorFieldModel,
     basis_restricted_search,
     escalate_vector_fields,

@@ -13,7 +13,6 @@ environment variable SYMFIELD_SEED overrides every configured seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -23,11 +22,7 @@ import numpy as np
 
 from . import datasets, discrete, geometry, model_fit, vfield
 from .features import monomial_basis, trig_extend
-from .manifold import (
-    DivergenceError,
-    OptimizerConfig,
-    RetractionSingularError,
-)
+from .manifold import OptimizerConfig
 from .model_fit import (
     EmptyLevelSetError,
     KdeModel,
@@ -46,16 +41,12 @@ from .serialize import (
     _write_table,
 )
 from .similarity import IntegrationDomain, domain_from_data, similarity
-from .vfield import BasisVectorField, FlowDivergedError, VectorFieldModel
+from .vfield import BasisVectorField, VectorFieldModel
 
-NUMERICAL_ERRORS = (
-    DivergenceError,
-    FlowDivergedError,
-    RetractionSingularError,
-    EmptyLevelSetError,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+# the divergence errors are FloatingPointErrors and a singular retraction is
+# a LinAlgError; EmptyLevelSetError and LinAlgError are ValueErrors, so main
+# catches this tuple before ValueError
+NUMERICAL_ERRORS = (EmptyLevelSetError, np.linalg.LinAlgError, FloatingPointError)
 
 
 # options that take a number or a comma-separated vector; argparse reads a
@@ -64,10 +55,6 @@ NUMERICAL_ERRORS = (
 NUMERIC_OPTIONS = ("--x0", "--lower", "--upper", "--point",
                    "--t", "--lo", "--hi", "--theta-min")
 NEGATIVE_VALUE = re.compile(r"-[0-9.]")
-
-
-class ValidationError(ValueError):
-    pass
 
 
 def _effective_seed(args, config_seed: int | None = None) -> int:
@@ -98,7 +85,7 @@ def _load_model(path: str, *kinds):
     model = load_model(path)
     if not isinstance(model, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValidationError(f"{path} holds a {type(model).__name__}, not a {names}")
+        raise ValueError(f"{path} holds a {type(model).__name__}, not a {names}")
     return model
 
 
@@ -106,14 +93,14 @@ def _load_member(path: str, key: str, kind=object):
     """The value at key of the JSON object in path, which must be a kind."""
     spec = load_json(path)
     if not (isinstance(spec, dict) and isinstance(spec.get(key), kind)):
-        raise ValidationError(f"{path} is not an object holding {key!r}")
+        raise ValueError(f"{path} is not an object holding {key!r}")
     return spec[key]
 
 
 def _parse_vector(text: str) -> np.ndarray:
     vector = np.array([float(tok) for tok in text.split(",")], dtype=float)
     if not np.all(np.isfinite(vector)):
-        raise ValidationError(f"{text!r} is not a vector of finite numbers")
+        raise ValueError(f"{text!r} is not a vector of finite numbers")
     return vector
 
 
@@ -122,7 +109,7 @@ def cmd_gen(args) -> None:
     for item in args.param or []:
         key, _, value = item.partition("=")
         if not _:
-            raise ValidationError(f"--param expects NAME=VALUE, got {item!r}")
+            raise ValueError(f"--param expects NAME=VALUE, got {item!r}")
         params[key] = float(value)
     spec = datasets.GeneratorSpec(
         args.name, args.size, _effective_seed(args), params
@@ -135,7 +122,7 @@ def cmd_gen(args) -> None:
 def cmd_fit_fn(args) -> None:
     data, targets = read_csv(args.data)
     if targets is None:
-        raise ValidationError("fit-fn needs a CSV with a target column")
+        raise ValueError("fit-fn needs a CSV with a target column")
     model = model_fit.fit_regression(
         data, targets, _basis_for(args, data.shape[1])
     )
@@ -206,7 +193,7 @@ def cmd_fit_kde(args) -> None:
     weights = None
     if args.weights == "target":
         if targets is None:
-            raise ValidationError("--weights target needs a target column")
+            raise ValueError("--weights target needs a target column")
         weights = targets**args.weight_power
         weights = weights / weights.sum()
     bandwidth = args.bandwidth if args.bandwidth == "scott" else float(args.bandwidth)
@@ -214,20 +201,19 @@ def cmd_fit_kde(args) -> None:
 
 
 def cmd_find_vf(args) -> None:
-    provider = vfield.as_provider(
-        _load_model(args.model, ScalarFunctionModel, LevelSetModel, KdeModel))
+    model = _load_model(args.model, ScalarFunctionModel, LevelSetModel, KdeModel)
     data, _ = read_csv(args.data)
     config = _opt_config(args)
     if args.escalate:
-        model, trace = vfield.escalate_vector_fields(
-            provider, data, args.c, config
+        fields, trace = vfield.escalate_vector_fields(
+            model, data, args.c, config
         )
     else:
         basis = monomial_basis(data.shape[1], args.vf_degree)
-        model, trace = vfield.estimate_vector_fields(
-            provider, data, basis, args.c, config
+        fields, trace = vfield.estimate_vector_fields(
+            model, data, basis, args.c, config
         )
-    save_model(model, args.out)
+    save_model(fields, args.out)
     if args.trace_out:
         save_json({"final_loss": trace.final_loss}, args.trace_out)
 
@@ -279,7 +265,7 @@ def cmd_sim(args) -> None:
             _parse_vector(args.lower), _parse_vector(args.upper)
         )
     else:
-        raise ValidationError("sim needs --data or both --lower and --upper")
+        raise ValueError("sim needs --data or both --lower and --upper")
     report = similarity(
         X, X_hat, domain,
         method=args.method,
@@ -309,7 +295,7 @@ def cmd_discrete(args) -> None:
         family = discrete.rotation_family(args.lo, args.hi)
     else:
         if args.entries is None:
-            raise ValidationError("user-linear needs --entries")
+            raise ValueError("user-linear needs --entries")
         bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
         family = discrete.user_linear_family(
             _load_member(args.entries, "entries"),
@@ -339,24 +325,24 @@ def cmd_transform(args) -> None:
         for i, d in enumerate(_load_member(args.invariants, "models", list)):
             model = model_from_dict(d)
             if not isinstance(model, ScalarFunctionModel):
-                raise ValidationError(f"invariant {i + 1} is not a scalar model")
+                raise ValueError(f"invariant {i + 1} is not a scalar model")
             if model.basis.dimension != data.shape[1]:
-                raise ValidationError("invariant dimension mismatch")
+                raise ValueError("invariant dimension mismatch")
             columns.append(model(data))
             header.append(f"h{i + 1}")
     if args.angle:
         if data.shape[1] != 2:
-            raise ValidationError("--angle needs two-dimensional data")
+            raise ValueError("--angle needs two-dimensional data")
         columns.append(np.arctan2(data[:, 1], data[:, 0]))
         header.append("theta")
     elif args.flow_param:
         model = _load_model(args.flow_param, ScalarFunctionModel)
         if model.basis.dimension != data.shape[1]:
-            raise ValidationError("flow-parameter dimension mismatch")
+            raise ValueError("flow-parameter dimension mismatch")
         columns.append(model(data))
         header.append("theta")
     if not columns:
-        raise ValidationError("transform needs invariants, --flow-param, or --angle")
+        raise ValueError("transform needs invariants, --flow-param, or --angle")
     _write_table(args.out, np.column_stack(columns), header)
 
 
@@ -366,7 +352,7 @@ def cmd_grid(args) -> None:
     lower = _parse_vector(args.lower)
     upper = _parse_vector(args.upper)
     if lower.size != upper.size or np.any(lower >= upper) or args.resolution < 1:
-        raise ValidationError("need lower < upper of equal length, resolution >= 1")
+        raise ValueError("need lower < upper of equal length, resolution >= 1")
     axes = [np.linspace(lo, hi, args.resolution) for lo, hi in zip(lower, upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
@@ -554,8 +540,7 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -289,6 +289,21 @@ def _brent(loss, a: float, b: float, xatol: float) -> tuple[float, float]:
     return float(xf), float(fx)
 
 
+def _grid_minima(vals) -> list[int]:
+    """Interior local minima of the grid losses vals, else the best (an end)."""
+    interior = [i for i in range(1, len(vals) - 1)
+                if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
+    return interior or [int(np.argmin(vals))]
+
+
+def _smallest_comparable(candidates, vals):
+    """Smallest key of the (key, loss) candidates whose loss is comparable to
+    the best: at most 2 best + sqrt(eps) (range of the grid losses vals)."""
+    floor = (2.0 * min(loss for _, loss in candidates)
+             + _SQRT_EPS * (max(vals) - min(vals)))
+    return min(key for key, loss in candidates if loss <= floor)
+
+
 def _angle_search(loss, grid: np.ndarray, vals, xatol: float) -> float:
     """The smallest angle whose loss is comparable to the best.
 
@@ -301,17 +316,10 @@ def _angle_search(loss, grid: np.ndarray, vals, xatol: float) -> float:
     that much of the loss's scale.  With no interior local minimum the best
     grid point, an end, is returned.
     """
-    candidates = [
-        _brent(loss, grid[i - 1], grid[i + 1], xatol)
-        for i in range(1, len(grid) - 1)
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]
-    ]
-    if not candidates:
-        i = int(np.argmin(vals))
-        candidates = [(float(grid[i]), vals[i])]
-    best = min(loss for _, loss in candidates)
-    floor = 2.0 * best + _SQRT_EPS * (max(vals) - min(vals))
-    return min(t for t, loss in candidates if loss <= floor)
+    return _smallest_comparable(
+        [_brent(loss, grid[i - 1], grid[i + 1], xatol)
+         if 0 < i < len(grid) - 1 else (float(grid[i]), vals[i])
+         for i in _grid_minima(vals)], vals)
 
 
 def fit_discrete(
@@ -398,21 +406,13 @@ def _thin(arr: np.ndarray) -> np.ndarray:
 def _density_candidate(grid: np.ndarray, vals) -> int:
     """Index of the grid angle density rotation refines.
 
-    _angle_search's rule on the grid losses alone: the smallest interior
-    local minimum whose loss is at most 2 best + sqrt(eps) (grid loss range),
-    best over the interior minima, or with none the best grid point, an end.
+    _angle_search's rule on the grid losses alone, with no refinement.
     A sampled density's loss does not vanish at a symmetry, and its grid
     losses rank the minima as their refined losses do; fit_discrete's
     zero-residual families need refined losses to tell a generator from its
     multiples, so _angle_search refines them all.
     """
-    interior = [i for i in range(1, len(grid) - 1)
-                if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
-    if not interior:
-        return int(np.argmin(vals))
-    floor = (2.0 * min(vals[i] for i in interior)
-             + _SQRT_EPS * (max(vals) - min(vals)))
-    return min(i for i in interior if vals[i] <= floor)
+    return _smallest_comparable([(i, vals[i]) for i in _grid_minima(vals)], vals)
 
 
 def fit_density_rotation(

@@ -90,20 +90,18 @@ class OptimizationTrace:
 
 
 def tangent_project(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Project G onto the tangent space of the Stiefel manifold at W (stacks too)."""
-    WtG = W.swapaxes(-1, -2) @ G
-    return G - W @ ((WtG + WtG.swapaxes(-1, -2)) / 2.0)
+    """Project G onto the tangent space of the Stiefel manifold at W."""
+    WtG = W.T @ G
+    return G - W @ ((WtG + WtG.T) / 2.0)
 
 
 def retract(W: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """QR retraction of W + T, R's diagonal positive, matrix by matrix in stacks."""
+    """QR retraction of W + T, with R's diagonal forced positive."""
     Q, R = np.linalg.qr(W + T)
-    diag = np.diagonal(R, axis1=-2, axis2=-1)
-    scale = np.maximum(1.0, np.abs(diag).max(axis=-1, initial=0.0, keepdims=True))
-    if np.any(np.abs(diag) < 1e-12 * scale):
+    diag = np.diag(R)
+    if np.any(np.abs(diag) < 1e-12 * max(1.0, np.abs(diag).max(initial=0.0))):
         raise RetractionSingularError("W + T is rank deficient")
-    signs = np.where(diag < 0, -1.0, 1.0)
-    return Q * signs[..., None, :]
+    return Q * np.where(diag < 0, -1.0, 1.0)
 
 
 def random_orthonormal(p: int, q: int, rng: np.random.Generator) -> np.ndarray:

@@ -202,11 +202,6 @@ class AffineFrame:
     origin: np.ndarray
     axes: np.ndarray  # (n, n - k), orthonormal columns
 
-    def restore(self, reduced: np.ndarray) -> np.ndarray:
-        """Map reduced coordinates back to ambient coordinates."""
-        reduced = np.atleast_2d(np.asarray(reduced, dtype=float))
-        return self.origin[None, :] + reduced @ self.axes.T
-
 
 def _affine_system(model: LevelSetModel) -> tuple[np.ndarray, np.ndarray]:
     """Rows C x + d = 0 from a constant+linear level-set model."""
@@ -295,6 +290,8 @@ class KdeModel:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.centers.shape[0],):
             raise ValueError("one weight per center required")
+        if not np.all(np.isfinite(self.centers)):
+            raise ValueError("centers must be finite")
         if not (np.all(np.isfinite(self.weights)) and np.all(self.weights >= 0)
                 and self.weights.sum() > 0):
             raise ValueError("weights must be finite, nonnegative, with positive sum")

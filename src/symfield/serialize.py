@@ -225,6 +225,8 @@ def _read_table(path: str) -> tuple[np.ndarray, list[str]]:
     table = np.array(rows, dtype=float)
     if table.shape[1] != len(header):
         raise ValueError(f"ragged CSV {path!r}")
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"non-finite value in {path!r}")
     return table, header
 
 

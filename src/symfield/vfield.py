@@ -20,10 +20,8 @@ from .model_fit import KdeModel, LevelSetModel, ScalarFunctionModel, kde_gradien
 __all__ = [
     "VectorFieldModel",
     "BasisVectorField",
-    "GradientProvider",
     "FlowDivergedError",
     "FlowParameterResult",
-    "as_provider",
     "extended_feature_matrix",
     "estimate_vector_fields",
     "escalate_vector_fields",
@@ -126,55 +124,30 @@ class BasisVectorField:
         return all(c.basis.is_polynomial() for c in self.components)
 
 
-class GradientProvider:
-    """Per-point Jacobians J(F)(x_i) of shape (k, n) for a fitted F."""
-
-    def __init__(self, source):
-        if isinstance(source, LevelSetModel):
-            self.dimension = source.basis.dimension
-            self.n_components = source.n_components
-            self._jac = source.jacobians
-        elif isinstance(source, KdeModel):
-            self.dimension = source.dimension
-            self.n_components = 1
-            self._jac = lambda X: kde_gradient(source, X)[:, None, :]
-        else:
-            models = (
-                [source] if isinstance(source, ScalarFunctionModel) else list(source)
-            )
-            if not models:
-                raise ValueError("need at least one scalar component")
-            dims = {m.basis.dimension for m in models}
-            if len(dims) != 1:
-                raise ValueError("components disagree on dimension")
-            self.dimension = dims.pop()
-            self.n_components = len(models)
-            self._jac = lambda X: np.stack(
-                [m.gradient(X) for m in models], axis=1
-            )
-
-    def jacobians(self, points: np.ndarray) -> np.ndarray:
-        J = self._jac(np.atleast_2d(np.asarray(points, dtype=float)))
-        if not np.all(np.isfinite(J)):
-            raise ValueError("provider produced non-finite Jacobians")
-        return J
-
-
-def as_provider(source) -> GradientProvider:
-    return source if isinstance(source, GradientProvider) else GradientProvider(source)
+def _jacobians(model, points: np.ndarray) -> np.ndarray:
+    """(N, k, n) Jacobians J(F)(x_i) of a fitted level set, KDE or scalar F."""
+    if isinstance(model, LevelSetModel):
+        J = model.jacobians(points)
+    elif isinstance(model, KdeModel):
+        J = kde_gradient(model, points)[:, None, :]
+    else:
+        J = model.gradient(points)[:, None, :]
+    if not np.all(np.isfinite(J)):
+        raise ValueError("model produced non-finite Jacobians")
+    return J
 
 
 def extended_feature_matrix(
-    provider, data: np.ndarray, vf_basis: FeatureBasis
+    model, data: np.ndarray, vf_basis: FeatureBasis
 ) -> np.ndarray:
     """(k N, n m) matrix M with (M W)[(i, l), j] = X_j(f_l)(x_i)."""
-    provider = as_provider(provider)
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[1] != provider.dimension:
-        raise ValueError("data dimension does not match provider")
-    if vf_basis.dimension != provider.dimension:
-        raise ValueError("vf_basis dimension does not match provider")
-    J = provider.jacobians(data)  # (N, k, n)
+    n = model.dimension if isinstance(model, KdeModel) else model.basis.dimension
+    if data.shape[1] != n:
+        raise ValueError("data dimension does not match model")
+    if vf_basis.dimension != n:
+        raise ValueError("vf_basis dimension does not match model")
+    J = _jacobians(model, data)  # (N, k, n)
     B = design_matrix(vf_basis, data)  # (N, m)
     N, k, n = J.shape
     m = B.shape[1]
@@ -182,14 +155,14 @@ def extended_feature_matrix(
 
 
 def estimate_vector_fields(
-    provider,
+    model,
     data: np.ndarray,
     vf_basis: FeatureBasis,
     c: int,
     config: manifold.OptimizerConfig,
 ) -> tuple[VectorFieldModel, manifold.OptimizationTrace]:
     """Estimate c annihilating fields over the given coefficient dictionary."""
-    M = extended_feature_matrix(provider, data, vf_basis)
+    M = extended_feature_matrix(model, data, vf_basis)
     W, trace = manifold.minimize(M, c, config)
     return VectorFieldModel(vf_basis, W), trace
 
@@ -205,7 +178,7 @@ def degree_escalation_bases(n: int) -> list[FeatureBasis]:
 
 
 def escalate_vector_fields(
-    provider,
+    model,
     data: np.ndarray,
     c: int,
     config: manifold.OptimizerConfig,
@@ -217,14 +190,14 @@ def escalate_vector_fields(
     none does.  Searching small dictionaries first sidesteps the
     X-versus-hX ambiguity.
     """
-    provider = as_provider(provider)
+    data = np.atleast_2d(np.asarray(data, dtype=float))
     best = None
-    for basis in degree_escalation_bases(provider.dimension):
-        model, trace = estimate_vector_fields(provider, data, basis, c, config)
+    for basis in degree_escalation_bases(data.shape[1]):
+        fields, trace = estimate_vector_fields(model, data, basis, c, config)
         if trace.final_loss < ESCALATION_LOSS:
-            return model, trace
+            return fields, trace
         if best is None or trace.final_loss < best[1].final_loss:
-            best = (model, trace)
+            best = (fields, trace)
     return best
 
 

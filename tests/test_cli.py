@@ -642,16 +642,33 @@ def test_flow_refuses_a_model_of_several_fields(tmp_path, monkeypatch, capsys):
     ["flow", "--field", "rot.json", "--x0", "1,inf", "--t", "1"],
     ["pullback", "--source", "d.csv", "--image", "d.csv", "--point", "nan,0"],
     ["fit-kde", "--data", "t.csv", "--weights", "target", "--weight-power", "nan"],
+    ["transform", "--data", "nan.csv", "--angle"],
+    ["transform", "--data", "inf.csv", "--angle"],
+    ["fit-kde", "--data", "nan.csv", "--bandwidth", "0.5"],
+    ["grid", "--model", "nan_kde.json", "--lower", "0,0", "--upper", "1,1"],
+    ["discrete", "--model", "kde.json", "--data", "nan.csv",
+     "--family", "density-rotation"],
 ])
 def test_non_finite_numbers_fail(tmp_path, monkeypatch, command):
-    # sim wrote "aggregate": NaN, which is not JSON; grid and fit-kde wrote NaN
+    # sim wrote "aggregate": NaN, which is not JSON; grid and fit-kde wrote NaN;
+    # from a CSV cell, transform wrote a nan angle, fit-kde a nan centre, grid
+    # all-nan densities and density rotation "final_loss": NaN
     monkeypatch.chdir(tmp_path)
-    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    data = np.random.default_rng(0).standard_normal((20, 2))
+    write_csv("d.csv", data)
     write_csv("t.csv", np.random.default_rng(1).standard_normal((20, 2)),
               np.random.default_rng(2).uniform(0.5, 1.0, 20))
     save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    save_model(sf.kde_fit(data), "kde.json")
+    save_model(sf.kde_fit(data), "nan_kde.json")
+    sidecar = tmp_path / "nan_kde.centers.csv"
+    sidecar.write_text(sidecar.read_text().replace(repr(float(data[3, 1])), "nan"))
+    for bad in ("nan", "inf"):
+        data[3, 1] = float(bad)
+        write_csv(f"{bad}.csv", data)
     assert run(*command, "--out", "out.json") == 2
     assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.centers.csv").exists()
 
 
 def _malformed_model_files():

@@ -25,7 +25,6 @@ from symfield.discrete import (
     _residual_losses,
 )
 from symfield.features import monomial_basis
-from symfield.manifold import RetractionSingularError, retract, tangent_project
 from symfield.model_fit import KdeModel, _rotate, kde_eval, kde_fit
 
 CFG = sf.OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.05, 400)
@@ -735,23 +734,3 @@ def test_stacked_matrix_and_expressions_equal_per_row(entries, n_params):
             assert [float(v) for v in values] == [
                 eval_expression(tree, P[k]) for k in range(7)]
     assert eval_expression(2.5, P).tolist() == [2.5] * 7
-
-
-def test_stacked_retract_matches_per_matrix_and_flags_singular():
-    rng = np.random.default_rng(13)
-    W = np.stack([retract(np.zeros((4, 2)), rng.standard_normal((4, 2)))
-                  for _ in range(5)])
-    T = 0.1 * rng.standard_normal((5, 4, 2))
-    stacked = retract(W, tangent_project(W, T))
-    for k in range(5):
-        assert np.array_equal(stacked[k], retract(W[k], tangent_project(W[k], T[k])))
-    # one rank-deficient matrix anywhere in the stack is refused
-    T[3] = -W[3]
-    T[3][:, 1] += W[3][:, 0]
-    with pytest.raises(RetractionSingularError):
-        retract(W, T)
-    # the rank test is relative to each matrix's own scale: a tiny full-rank
-    # matrix next to a huge one is still retracted
-    mixed = np.stack([1e6 * np.eye(3)[:, :2], 1e-7 * np.eye(3)[:, :2]])
-    assert np.array_equal(retract(mixed, np.zeros_like(mixed))[1],
-                          np.eye(3)[:, :2])

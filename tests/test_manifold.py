@@ -43,6 +43,21 @@ def test_retraction_singular():
         retract(W, np.zeros((3, 2)))
 
 
+def test_retraction_rank_threshold_is_relative():
+    # the rank test is relative to the matrix's own scale: a tiny or a huge
+    # full-rank matrix is retracted
+    E = np.eye(3)[:, :2]
+    assert np.array_equal(retract(1e-7 * E, np.zeros_like(E)), E)
+    assert np.array_equal(retract(1e6 * E, np.zeros_like(E)), E)
+    # a rank-deficient W + T is refused
+    rng = np.random.default_rng(13)
+    W = retract(np.zeros((4, 2)), rng.standard_normal((4, 2)))
+    T = -W
+    T[:, 1] += W[:, 0]
+    with pytest.raises(RetractionSingularError):
+        retract(W, T)
+
+
 def test_random_init_deterministic():
     a = random_orthonormal(5, 2, np.random.default_rng(7))
     b = random_orthonormal(5, 2, np.random.default_rng(7))

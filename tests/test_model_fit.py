@@ -160,7 +160,7 @@ def test_project_plane_z_one():
 def test_frame_restore_roundtrip():
     data, _ = sf.generate(sf.GeneratorSpec("circle3d", 50, 1))
     reduced, frame = project_onto_affine(data, plane_z_model())
-    ambient = frame.restore(reduced)
+    ambient = frame.origin + reduced @ frame.axes.T
     assert np.abs(ambient - data).max() <= 1e-10
 
 
@@ -240,6 +240,15 @@ def test_kde_refuses_points_of_another_dimension(points):
     for evaluate in (kde_eval, kde_gradient):
         with pytest.raises(ValueError, match="2-dimensional density"):
             evaluate(model, points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kde_refuses_non_finite_centres(bad):
+    # a fixed bandwidth used to give a model with a nan centre
+    data = np.random.default_rng(0).standard_normal((20, 2))
+    data[3, 1] = bad
+    with pytest.raises(ValueError, match="centers must be finite"):
+        kde_fit(data, bandwidth=0.5)
 
 
 def test_kde_gradient_zero_at_center_and_midpoint():
