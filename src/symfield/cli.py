@@ -326,8 +326,6 @@ def cmd_transform(args) -> None:
             model = model_from_dict(d)
             if not isinstance(model, ScalarFunctionModel):
                 raise ValueError(f"invariant {i + 1} is not a scalar model")
-            if model.basis.dimension != data.shape[1]:
-                raise ValueError("invariant dimension mismatch")
             columns.append(model(data))
             header.append(f"h{i + 1}")
     if args.angle:
@@ -337,8 +335,6 @@ def cmd_transform(args) -> None:
         header.append("theta")
     elif args.flow_param:
         model = _load_model(args.flow_param, ScalarFunctionModel)
-        if model.basis.dimension != data.shape[1]:
-            raise ValueError("flow-parameter dimension mismatch")
         columns.append(model(data))
         header.append("theta")
     if not columns:
@@ -358,11 +354,12 @@ def cmd_grid(args) -> None:
     points = np.column_stack([m.ravel() for m in mesh])
     if isinstance(model, KdeModel):
         values = model_fit.kde_eval(model, points)
-    elif isinstance(model, ScalarFunctionModel):
-        values = model(points)
     else:
-        values = model(points)[:, 0]
-    header = [f"x{i + 1}" for i in range(points.shape[1])] + ["value"]
+        values = model(points)
+    values = values.reshape(len(points), -1)  # one column per output
+    k = values.shape[1]
+    header = [f"x{i + 1}" for i in range(points.shape[1])] + (
+        ["value"] if k == 1 else [f"value{j + 1}" for j in range(k)])
     _write_table(args.out, np.column_stack([points, values]), header)
 
 

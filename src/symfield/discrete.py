@@ -1,14 +1,16 @@
 """Discrete parametric symmetry fitting.
 
-Fits the parameters of a transformation family so that a fitted function
-(or an estimated density) is preserved: reflections about a line through
-the origin, planar rotations by a fixed angle, and user-supplied linear
-families whose matrix entries are expression trees over the parameters.
-Both fits search an angle on a coarse grid and refine it by Brent's bounded
-minimisation.  fit_density_rotation picks one grid minimum, the smallest
-angle of comparable grid loss, and refines it once when its coarse model is
-the full model, or on a thinned model and then on the full data.
-fit_discrete's _angle_search refines every grid minimum and takes the
+Fits the parameters of a transformation family so that a fitted function (or
+an estimated density) is preserved.  Every family, the built-in reflection
+about a line through the origin and planar rotation by a fixed angle
+included, is an n x n matrix of expression trees over its parameters under a
+unit-norm or an interval constraint.  A unit-norm family is evaluated at
+p/|p|; for an even one, M(-p) = M(p), fit_discrete reports p with its largest
+entry positive.  Both fits search an angle on a coarse grid and refine it by
+Brent's bounded minimisation.  fit_density_rotation picks one grid minimum,
+the smallest angle of comparable grid loss, and refines it once when its
+coarse model is the full model, or on a thinned model and then on the full
+data.  fit_discrete's _angle_search refines every grid minimum and takes the
 smallest angle of comparable refined loss; it runs along one line of the
 parameter set at a time (a coordinate of an interval family, a turn in one
 coordinate plane of a unit-norm family) and sweeps the lines until the
@@ -48,37 +50,39 @@ __all__ = [
 ]
 
 
-def eval_expression(tree, params: np.ndarray):
-    """Evaluate a JSON-style expression tree at a parameter vector (a float)
-    or at each row of a (k, n_params) stack (k values)."""
-    P = np.asarray(params, dtype=float)
-    if P.ndim == 1:
-        return float(eval_expression(tree, P[None])[0])
-    if isinstance(tree, (int, float)):
-        return np.full(len(P), float(tree))
-    if "const" in tree:
-        return np.full(len(P), float(tree["const"]))
+def _evaluate(tree, columns):
+    """tree's value at each parameter vector, with columns[i] holding
+    parameter i's values; a float where tree reads no parameter."""
+    if not isinstance(tree, dict):
+        return float(tree)
     if "param" in tree:
-        return P[:, int(tree["param"])]
+        return columns[tree["param"]]
+    if "const" in tree:
+        return float(tree["const"])
     op = tree["op"]
-    args = [eval_expression(a, P) for a in tree.get("args", [])]
+    args = [_evaluate(a, columns) for a in tree.get("args", [])]
     # left-to-right folds, so a row's value never depends on the stack size
     if op == "add":
-        return reduce(np.add, args, np.zeros(len(P)))
+        return reduce(np.add, args) if args else 0.0
     if op == "mul":
-        return reduce(np.multiply, args, np.ones(len(P)))
-    if op == "neg":
-        return -args[0]
-    if op == "sin":
-        return np.sin(args[0])
-    if op == "cos":
-        return np.cos(args[0])
+        return reduce(np.multiply, args) if args else 1.0
+    if op in _FUNCTIONS:
+        return _FUNCTIONS[op](args[0])
     if op == "pow":
         return args[0] ** int(tree["exponent"])
     raise ValueError(f"unknown expression op {op!r}")
 
 
-_UNARY_OPS = ("neg", "sin", "cos", "pow")
+def eval_expression(tree, params: np.ndarray):
+    """Evaluate a JSON-style expression tree at a parameter vector (a float)
+    or at each row of a (k, n_params) stack (k values)."""
+    P = np.asarray(params, dtype=float)
+    values = np.broadcast_to(_evaluate(tree, P.T), P.shape[:-1])
+    return float(values) if P.ndim == 1 else values
+
+
+_FUNCTIONS = {"neg": np.negative, "sin": np.sin, "cos": np.cos}
+_UNARY_OPS = (*_FUNCTIONS, "pow")
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -116,18 +120,15 @@ def _check_expression(tree, n_params: int) -> None:
 
 @dataclass
 class ParametricFamily:
-    """A parameterized linear transformation family with a constraint."""
+    """A linear transformation family: an n x n matrix whose entries are
+    expression trees over n_params parameters, under a constraint."""
 
-    kind: str  # "reflection-2d" | "rotation-2d" | "user-linear"
-    constraint: str  # "unit-norm" | "interval"
+    entries: list  # n x n nested expression trees
     n_params: int
-    dimension: int
+    constraint: str = "unit-norm"  # or "interval"
     interval: tuple[float, float] | None = None
-    entries: list | None = None  # user-linear: n x n nested expression trees
 
     def __post_init__(self):
-        if self.kind not in ("reflection-2d", "rotation-2d", "user-linear"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
         if self.constraint not in ("unit-norm", "interval"):
             raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.n_params < 1:
@@ -138,59 +139,57 @@ class ParametricFamily:
                     np.isfinite(bounds).all() and bounds[0] < bounds[1]):
                 raise ValueError("interval constraint needs finite lo < hi")
             self.interval = tuple(bounds.tolist())
-        if self.kind == "user-linear":
-            n = self.dimension
-            if not (isinstance(self.entries, list) and len(self.entries) == n >= 1
-                    and all(isinstance(row, list) and len(row) == n
-                            for row in self.entries)):
-                raise ValueError(
-                    f"entries must be a non-empty n x n list of lists, n = {n}"
-                )
-            for row in self.entries:
-                for tree in row:
-                    _check_expression(tree, self.n_params)
+        if not (isinstance(self.entries, list) and self.entries
+                and all(isinstance(row, list) and len(row) == len(self.entries)
+                        for row in self.entries)):
+            raise ValueError("entries must be a non-empty n x n list of lists")
+        for row in self.entries:
+            for tree in row:
+                _check_expression(tree, self.n_params)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.entries)
 
     def matrix(self, params: np.ndarray) -> np.ndarray:
-        """The matrix at a parameter vector; a (k, n_params) stack gives k."""
+        """The matrix at a parameter vector; a (k, n_params) stack gives k.
+        A unit-norm family is evaluated at p / |p|."""
         P = np.asarray(params, dtype=float)
         if P.ndim == 1:
             return self.matrix(P[None])[0]
-        if self.kind == "reflection-2d":
-            a, b = (P / np.linalg.norm(P, axis=1, keepdims=True)).T
-            rows = [[b * b - a * a, -2 * a * b], [-2 * a * b, a * a - b * b]]
-        elif self.kind == "rotation-2d":
-            c, s = np.cos(P[:, 0]), np.sin(P[:, 0])
-            rows = [[c, s], [-s, c]]
-        else:
-            rows = [[eval_expression(e, P) for e in row] for row in self.entries]
-        M = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+        if self.constraint == "unit-norm":  # np.linalg.norm's sum, bit for bit
+            P = P / np.sqrt(np.add.reduce(P * P, axis=1, keepdims=True))
+        M = np.empty((len(P), self.dimension, self.dimension))
+        for i, row in enumerate(self.entries):
+            for j, tree in enumerate(row):
+                M[:, i, j] = _evaluate(tree, P.T)
         if not np.all(np.isfinite(M)):
             raise ValueError("family matrix is not finite")
         return M
 
 
+_A, _B = {"param": 0}, {"param": 1}
+_SIN, _COS = {"op": "sin", "args": [_A]}, {"op": "cos", "args": [_A]}
+_ROTATION = [[_COS, _SIN], [{"op": "neg", "args": [_SIN]}, _COS]]
+_A2, _B2 = ({"op": "pow", "args": [t], "exponent": 2} for t in (_A, _B))
+_CROSS = {"op": "mul", "args": [{"const": -2}, _A, _B]}
+_REFLECTION = [  # [[b^2 - a^2, -2 a b], [-2 a b, a^2 - b^2]] at unit (a, b)
+    [{"op": "add", "args": [_B2, {"op": "neg", "args": [_A2]}]}, _CROSS],
+    [_CROSS, {"op": "add", "args": [_A2, {"op": "neg", "args": [_B2]}]}],
+]
+
+
 def reflection_family() -> ParametricFamily:
     """Reflection of the plane about the line a x + b y = 0."""
-    return ParametricFamily("reflection-2d", "unit-norm", 2, 2)
+    return ParametricFamily(_REFLECTION, 2)
 
 
 def rotation_family(lo: float, hi: float) -> ParametricFamily:
     """Planar rotation by a fixed angle constrained to (lo, hi)."""
-    return ParametricFamily("rotation-2d", "interval", 1, 2, interval=(lo, hi))
+    return ParametricFamily(_ROTATION, 1, "interval", (lo, hi))
 
 
-def user_linear_family(
-    entries: list, n_params: int, constraint: str = "unit-norm",
-    interval: tuple[float, float] | None = None,
-) -> ParametricFamily:
-    return ParametricFamily(
-        "user-linear",
-        constraint,
-        n_params,
-        len(entries) if isinstance(entries, list) else 0,
-        interval=interval,
-        entries=entries,
-    )
+user_linear_family = ParametricFamily  # a family of any entries
 
 
 @dataclass
@@ -388,8 +387,9 @@ def fit_discrete(
             break
     if not lines:
         p = min((p, -p), key=lambda q: losses(q[None])[0])
-    if family.kind == "reflection-2d" and p[np.argmax(np.abs(p))] < 0:
-        p = -p  # S(-p) = S(p): report the normal with its largest entry positive
+    if (family.constraint == "unit-norm" and p[np.argmax(np.abs(p))] < 0
+            and np.array_equal(family.matrix(-p), family.matrix(p))):
+        p = -p  # an even family: report p with its largest entry positive
     boundary = False
     if family.constraint == "interval":
         tol = 1e-6 * (hi - lo)

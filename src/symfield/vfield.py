@@ -120,9 +120,6 @@ class BasisVectorField:
         """X(f) at each point: alpha . grad f."""
         return np.einsum("ij,ij->i", self(points), f.gradient(points))
 
-    def is_polynomial(self) -> bool:
-        return all(c.basis.is_polynomial() for c in self.components)
-
 
 def _jacobians(model, points: np.ndarray) -> np.ndarray:
     """(N, k, n) Jacobians J(F)(x_i) of a fitted level set, KDE or scalar F."""

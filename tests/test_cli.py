@@ -382,6 +382,81 @@ def test_grid_command(tmp_path):
                "--upper", "0,0", "--out", tmp_path / "g2.csv") == 2
 
 
+@pytest.mark.parametrize("case", ["levelset", "field"])
+def test_grid_writes_every_output(tmp_path, case):
+    # grid used to write only the first output of a multi-output model
+    if case == "levelset":  # F = (x, y) over (1, x, y)
+        model = sf.LevelSetModel(monomial_basis(2, 1),
+                                 np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    else:
+        model = poly_field(2, 1, {(0, 1): -1.0}, {(1, 0): 2.0})
+    save_model(model, str(tmp_path / "m.json"))
+    assert run("grid", "--model", tmp_path / "m.json", "--lower=-1,-1",
+               "--upper", "1,2", "--resolution", "4",
+               "--out", tmp_path / "g.csv") == 0
+    with open(tmp_path / "g.csv") as fh:
+        assert fh.readline().strip() == "x1,x2,value1,value2"
+    table, _ = read_csv(str(tmp_path / "g.csv"))
+    assert table.shape == (16, 4)
+    assert np.array_equal(table[:, 2:], model(table[:, :2]))
+
+
+@pytest.mark.parametrize("option", ["--invariants", "--flow-param"])
+def test_transform_model_of_another_dimension_fails(tmp_path, monkeypatch,
+                                                    option):
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    model = poly_model(monomial_basis(3, 1), {(1, 0, 0): 1.0})
+    if option == "--invariants":
+        save_json({"models": [model_to_dict(model)]}, "m.json")
+    else:
+        save_model(model, "m.json")
+    assert run("transform", "--data", "d.csv", option, "m.json",
+               "--out", "t.csv") == 2
+    assert not (tmp_path / "t.csv").exists()
+
+
+def _tree(op, *args, **extra):
+    return {"op": op, "args": list(args), **extra}
+
+
+@pytest.mark.parametrize("family", ["reflection", "rotation"])
+def test_discrete_builtin_family_is_user_linear_data(tmp_path, monkeypatch,
+                                                     family):
+    # a built-in family and its entries given as user-linear trees write the
+    # same bytes
+    monkeypatch.chdir(tmp_path)
+    a, b = {"param": 0}, {"param": 1}
+    if family == "reflection":
+        x = np.random.default_rng(2).uniform(-2, 2, 300)
+        write_csv("d.csv", np.column_stack([x, x**2]))
+        save_model(poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0}),
+                   "f.json")
+        square = lambda t: _tree("pow", t, exponent=2)
+        cross = _tree("mul", {"const": -2}, a, b)
+        entries = [[_tree("add", square(b), _tree("neg", square(a))), cross],
+                   [cross, _tree("add", square(a), _tree("neg", square(b)))]]
+        options = ["--n-params", "2"]
+    else:
+        write_csv("d.csv", np.random.default_rng(3).standard_normal((300, 2)))
+        save_model(poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0}),
+                   "f.json")
+        entries = [[_tree("cos", a), _tree("sin", a)],
+                   [_tree("neg", _tree("sin", a)), _tree("cos", a)]]
+        options = ["--n-params", "1", "--lo", "1.0", "--hi", "3.0"]
+    save_json({"entries": entries}, "entries.json")
+    common = ["discrete", "--model", "f.json", "--data", "d.csv"]
+    assert run(*common, "--family", family, *options[2:],
+               "--out", "builtin.json") == 0
+    assert run(*common, "--family", "user-linear", "--entries", "entries.json",
+               *options, "--out", "user.json") == 0
+    assert (tmp_path / "builtin.json").read_bytes() == (
+        tmp_path / "user.json").read_bytes()
+    want = [1.0, 0.0] if family == "reflection" else [2 * np.pi / 3]
+    np.testing.assert_allclose(load_json("builtin.json")["parameters"], want,
+                               rtol=0, atol=1e-6)
+
+
 def test_discrete_command_reflection(tmp_path):
     rng = np.random.default_rng(2)
     x = rng.uniform(-2, 2, 300)

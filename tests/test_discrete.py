@@ -42,8 +42,11 @@ def test_reflection_involution():
         assert np.abs(S @ S - np.eye(2)).max() <= 1e-12
 
 
-def test_reflection_scale_invariance():
-    family = reflection_family()
+@pytest.mark.parametrize("builtin", [True, False])
+def test_reflection_scale_invariance(builtin):
+    # a unit-norm family is evaluated at p / |p|
+    family = (reflection_family() if builtin
+              else user_linear_family(REFLECTION_ENTRIES, 2))
     f = poly_model(monomial_basis(2, 2), {(1, 1): 1.0})
     data = np.random.default_rng(1).standard_normal((30, 2))
     p = np.array([0.6, 0.8])
@@ -109,6 +112,13 @@ def test_expression_trees():
                                {"const": 2}]}, np.array([0.0])) == 2.0
     assert eval_expression({"op": "pow", "args": [{"param": 0}],
                             "exponent": 3}, np.array([2.0])) == 8.0
+    # an empty sum or product, which _check_expression accepts, is 0 or 1
+    assert eval_expression({"op": "add", "args": []}, np.array([2.0])) == 0.0
+    assert eval_expression({"op": "mul"}, np.array([2.0])) == 1.0
+    assert eval_expression({"op": "add", "args": []},
+                           np.ones((3, 1))).tolist() == [0.0] * 3
+    assert eval_expression({"op": "mul", "args": []},
+                           np.ones((3, 1))).tolist() == [1.0] * 3
     with pytest.raises(ValueError):
         eval_expression({"op": "exp", "args": []}, np.array([]))
 
@@ -325,7 +335,7 @@ def test_family_validation():
     with pytest.raises(ValueError):
         rotation_family(2.0, 1.0)
     with pytest.raises(ValueError):
-        sf.ParametricFamily("spiral", "unit-norm", 1, 2)
+        sf.ParametricFamily(ROTATION_ENTRIES, 1, "spiral")
 
 
 @pytest.mark.parametrize("interval", [
@@ -334,7 +344,7 @@ def test_family_validation():
 ])
 def test_interval_family_needs_finite_ordered_bounds(interval):
     with pytest.raises(ValueError):
-        sf.ParametricFamily("rotation-2d", "interval", 1, 2, interval=interval)
+        sf.ParametricFamily(ROTATION_ENTRIES, 1, "interval", interval)
 
 
 @pytest.mark.parametrize("entries,n_params", [
@@ -371,9 +381,13 @@ def test_user_linear_entries_must_match_dimension():
     entries = [[{"param": 0}, 0], [0, 1]]
     assert user_linear_family(entries, 1).dimension == 2
     with pytest.raises(ValueError):
-        sf.ParametricFamily("user-linear", "unit-norm", 1, 3, entries=entries)
-    with pytest.raises(ValueError):
-        sf.ParametricFamily("user-linear", "unit-norm", 1, 2)
+        sf.ParametricFamily(None, 1)
+
+
+def test_builtin_families_are_expression_trees():
+    assert reflection_family() == user_linear_family(REFLECTION_ENTRIES, 2)
+    assert rotation_family(1.0, 3.0) == user_linear_family(
+        ROTATION_ENTRIES, 1, "interval", (1.0, 3.0))
 
 
 def _p(i):
@@ -444,7 +458,8 @@ def _one_dimensional_reference(f, data, family, loss_kind):
         params = lambda t: np.array([np.cos(t), np.sin(t)])
     loss = lambda t: float(losses(params(t)[None])[0])
     p = params(_angle_search(loss, grid, [loss(t) for t in grid], 1e-10))
-    if family.kind == "reflection-2d" and p[np.argmax(np.abs(p))] < 0:
+    if (family.constraint == "unit-norm" and p[np.argmax(np.abs(p))] < 0
+            and np.array_equal(family.matrix(-p), family.matrix(p))):
         p = -p
     return p, float(losses(p[None])[0])
 
@@ -710,6 +725,33 @@ def test_odd_user_linear_family_keeps_its_sign(entries, n_params):
                              cfg.loss)[0]
     assert result.final_loss == pytest.approx(again, rel=1e-12, abs=1e-300)
     assert result.parameters[0] < -0.99
+
+
+# the Householder reflection I - 2 p p^T: even in p, M(-p) = M(p)
+HOUSEHOLDER_ENTRIES = [
+    [_op("add", 1.0, _op("mul", {"const": -2}, _p(i), _p(j))) if i == j
+     else _op("mul", {"const": -2}, _p(i), _p(j)) for j in range(3)]
+    for i in range(3)
+]
+
+
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+def test_even_unit_norm_family_reports_largest_entry_positive(loss):
+    # f is preserved by the reflection with unit normal n = (-0.8, 0.36, 0.48)
+    # alone; n and -n give the same matrix, and the fit reports -n
+    n = np.array([-0.8, 0.36, 0.48])
+    u = np.cross(n, [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    v = np.cross(n, u)
+    f = lambda X: (X @ n) ** 2 + X @ u + (X @ v) ** 3
+    data = np.random.default_rng(19).standard_normal((300, 3))
+    family = user_linear_family(HOUSEHOLDER_ENTRIES, 3)
+    result = fit_discrete(f, data, family, sf.OptimizerConfig(loss=loss))
+    np.testing.assert_allclose(result.parameters, -n, rtol=0, atol=1e-6)
+    assert np.array_equal(family.matrix(-result.parameters),
+                          family.matrix(result.parameters))
+    again = _residual_losses(f, data, f(data), family, [result.parameters], loss)
+    assert result.final_loss == again[0]
 
 
 @pytest.mark.parametrize("entries,n_params", [
