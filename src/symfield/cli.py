@@ -6,8 +6,10 @@ fields, extract invariants and flow parameters, integrate flows, score
 similarity, fit discrete symmetries, pull back metrics, and export
 transformed coordinates or gridded function values.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  The
-environment variable SYMFIELD_SEED overrides every configured seed.
+Exit codes: 0 success, 2 validation error (a malformed vector or --param is a
+usage error; an output that would hold NaN is refused), 3 numerical failure
+(a non-finite similarity or memory exhaustion, say).  Any option takes a
+negative value after a space; SYMFIELD_SEED overrides every configured seed.
 """
 
 from __future__ import annotations
@@ -43,17 +45,12 @@ from .serialize import (
 from .similarity import IntegrationDomain, domain_from_data, similarity
 from .vfield import BasisVectorField, VectorFieldModel
 
-# the divergence errors are FloatingPointErrors and a singular retraction is
-# a LinAlgError; EmptyLevelSetError and LinAlgError are ValueErrors, so main
+# numerical failures (exit 3), among them memory exhaustion and an exponent
+# past a C long; EmptyLevelSetError and LinAlgError are ValueErrors, so main
 # catches this tuple before ValueError
-NUMERICAL_ERRORS = (EmptyLevelSetError, np.linalg.LinAlgError, FloatingPointError)
+NUMERICAL_ERRORS = (EmptyLevelSetError, np.linalg.LinAlgError,
+                    FloatingPointError, MemoryError, OverflowError)
 
-
-# options that take a number or a comma-separated vector; argparse reads a
-# value with a leading minus ("--x0 -1,0.5", "--t -1e-3") as an option
-# unless it is attached by "="
-NUMERIC_OPTIONS = ("--x0", "--lower", "--upper", "--point",
-                   "--t", "--lo", "--hi", "--theta-min")
 NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
@@ -97,22 +94,28 @@ def _load_member(path: str, key: str, kind=object):
     return spec[key]
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    vector = np.array([float(tok) for tok in text.split(",")], dtype=float)
-    if not np.all(np.isfinite(vector)):
-        raise ValueError(f"{text!r} is not a vector of finite numbers")
-    return vector
+def vector(text: str) -> np.ndarray:
+    """The numbers of a comma-separated list; the library checks them."""
+    return np.array([float(tok) for tok in text.split(",")])
+
+
+def name_value(text: str) -> tuple[str, float]:
+    """("k", 7.0) from "k=7"; the generator checks the name and value."""
+    name, _, value = text.partition("=")
+    return name, float(value)
+
+
+def _write_columns(path: str, columns: list, header: list[str]) -> None:
+    """The columns as one CSV; a model value that overflowed is refused."""
+    table = np.column_stack(columns)
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"refusing to write non-finite values to {path!r}")
+    _write_table(path, table, header)
 
 
 def cmd_gen(args) -> None:
-    params = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        if not _:
-            raise ValueError(f"--param expects NAME=VALUE, got {item!r}")
-        params[key] = float(value)
     spec = datasets.GeneratorSpec(
-        args.name, args.size, _effective_seed(args), params
+        args.name, args.size, _effective_seed(args), dict(args.param or [])
     )
     data, targets = datasets.generate(spec)
     write_csv(args.out, data, targets)
@@ -156,12 +159,12 @@ def cmd_fit_levelset(args) -> None:
         )
         outputs["affine_model.json"] = affine
         reduced, frame = model_fit.project_onto_affine(data, affine)
-        outputs["reduced.csv"] = reduced
         outputs["frame.json"] = {
             "origin": frame.origin.tolist(),
             "axes": [col.tolist() for col in frame.axes.T],
         }
-        if reduced.shape[1] > 0:
+        if reduced.shape[1] > 0:  # else the data lie on a point
+            outputs["reduced.csv"] = reduced
             basis = _basis_for(args, reduced.shape[1])
             outputs["reduced_model.json"], outputs["reduced_elbow.json"] = (
                 _elbow_fit(reduced, basis, args, config))
@@ -196,8 +199,7 @@ def cmd_fit_kde(args) -> None:
             raise ValueError("--weights target needs a target column")
         weights = targets**args.weight_power
         weights = weights / weights.sum()
-    bandwidth = args.bandwidth if args.bandwidth == "scott" else float(args.bandwidth)
-    save_model(model_fit.kde_fit(data, weights, bandwidth), args.out)
+    save_model(model_fit.kde_fit(data, weights, args.bandwidth), args.out)
 
 
 def cmd_find_vf(args) -> None:
@@ -249,10 +251,7 @@ def cmd_flow_param(args) -> None:
 
 def cmd_flow(args) -> None:
     field = _load_model(args.field, VectorFieldModel, BasisVectorField)
-    trajectory = vfield.flow_integrate(
-        field, _parse_vector(args.x0), args.t, args.steps
-    )
-    write_csv(args.out, trajectory)
+    write_csv(args.out, vfield.flow_integrate(field, args.x0, args.t, args.steps))
 
 
 def cmd_sim(args) -> None:
@@ -260,10 +259,8 @@ def cmd_sim(args) -> None:
     X_hat = _load_model(args.estimate, VectorFieldModel, BasisVectorField)
     if args.data:
         domain = domain_from_data(read_csv(args.data)[0])
-    elif args.lower and args.upper:
-        domain = IntegrationDomain(
-            _parse_vector(args.lower), _parse_vector(args.upper)
-        )
+    elif args.lower is not None and args.upper is not None:
+        domain = IntegrationDomain(args.lower, args.upper)
     else:
         raise ValueError("sim needs --data or both --lower and --upper")
     report = similarity(
@@ -313,9 +310,8 @@ def cmd_pullback(args) -> None:
     map_model = geometry.fit_map(
         source, image, monomial_basis(source.shape[1], args.degree)
     )
-    g = geometry.pullback_metric(map_model, _parse_vector(args.point))
-    save_json({"point": _parse_vector(args.point).tolist(),
-               "metric": g.tolist()}, args.out)
+    g = geometry.pullback_metric(map_model, args.point)
+    save_json({"point": args.point.tolist(), "metric": g.tolist()}, args.out)
 
 
 def cmd_transform(args) -> None:
@@ -339,17 +335,17 @@ def cmd_transform(args) -> None:
         header.append("theta")
     if not columns:
         raise ValueError("transform needs invariants, --flow-param, or --angle")
-    _write_table(args.out, np.column_stack(columns), header)
+    _write_columns(args.out, columns, header)
 
 
 def cmd_grid(args) -> None:
     model = _load_model(args.model, ScalarFunctionModel, LevelSetModel,
                         KdeModel, BasisVectorField)
-    lower = _parse_vector(args.lower)
-    upper = _parse_vector(args.upper)
-    if lower.size != upper.size or np.any(lower >= upper) or args.resolution < 1:
-        raise ValueError("need lower < upper of equal length, resolution >= 1")
-    axes = [np.linspace(lo, hi, args.resolution) for lo, hi in zip(lower, upper)]
+    box = IntegrationDomain(args.lower, args.upper)
+    if args.resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    axes = [np.linspace(lo, hi, args.resolution)
+            for lo, hi in zip(box.lower, box.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
     if isinstance(model, KdeModel):
@@ -360,7 +356,7 @@ def cmd_grid(args) -> None:
     k = values.shape[1]
     header = [f"x{i + 1}" for i in range(points.shape[1])] + (
         ["value"] if k == 1 else [f"value{j + 1}" for j in range(k)])
-    _write_table(args.out, np.column_stack([points, values]), header)
+    _write_columns(args.out, [points, values], header)
 
 
 def _add_common(p, seed=True, opt=True):
@@ -381,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--name", required=True, choices=datasets.GENERATOR_NAMES)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--param", action="append")
+    p.add_argument("--param", type=name_value, action="append")
     p.add_argument("--out", required=True)
     _add_common(p, opt=False)
     p.set_defaults(func=cmd_gen)
@@ -450,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate a vector-field flow")
     p.add_argument("--field", required=True)
-    p.add_argument("--x0", required=True)
+    p.add_argument("--x0", type=vector, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--out", required=True)
@@ -460,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--estimate", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--lower", default=None)
-    p.add_argument("--upper", default=None)
+    p.add_argument("--lower", type=vector, default=None)
+    p.add_argument("--upper", type=vector, default=None)
     p.add_argument("--method", default="auto")
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.add_argument("--out", required=True)
@@ -493,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--point", required=True)
+    p.add_argument("--point", type=vector, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pullback)
 
@@ -509,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="gridded function-value CSV")
     p.add_argument("--model", required=True)
-    p.add_argument("--lower", required=True)
-    p.add_argument("--upper", required=True)
+    p.add_argument("--lower", type=vector, required=True)
+    p.add_argument("--upper", type=vector, required=True)
     p.add_argument("--resolution", type=int, default=50)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid)
@@ -519,10 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite "--t -1e-3" as "--t=-1e-3" for every numeric option."""
+    """Rewrite "--t -1e-3" as "--t=-1e-3": no option starts with "-<digit>" or
+    "-." and no command takes a positional argument."""
     out = []
     for arg in argv:
-        if out and out[-1] in NUMERIC_OPTIONS and NEGATIVE_VALUE.match(arg):
+        if out and out[-1].startswith("--") and NEGATIVE_VALUE.match(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

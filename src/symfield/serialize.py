@@ -46,16 +46,23 @@ def atom_to_dict(atom: FeatureAtom) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """An integral JSON number; 1.5, NaN, true and "1" are refused."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def atom_from_dict(d: dict) -> FeatureAtom:
     kind = d["kind"]
     if kind == "monomial":
-        return FeatureAtom("monomial", tuple(int(e) for e in d["exponents"]))
+        return FeatureAtom("monomial", tuple(_integer(e) for e in d["exponents"]))
     if kind in ("sin", "cos"):
-        return FeatureAtom(kind, axis=int(d["axis"]))
+        return FeatureAtom(kind, axis=_integer(d["axis"]))
     if kind == "product":
         return FeatureAtom(
             "product",
-            tuple(int(e) for e in d["exponents"]),
+            tuple(_integer(e) for e in d["exponents"]),
             factor=tuple(
                 (atom_from_dict(a), float(c)) for a, c in d["factor"]
             ),
@@ -72,7 +79,7 @@ def basis_to_dict(basis: FeatureBasis) -> dict:
 
 def basis_from_dict(d: dict) -> FeatureBasis:
     return FeatureBasis(
-        int(d["dimension"]), tuple(atom_from_dict(a) for a in d["atoms"])
+        _integer(d["dimension"]), tuple(atom_from_dict(a) for a in d["atoms"])
     )
 
 
@@ -171,9 +178,9 @@ def _model_from_dict(d: dict, base_dir: str):
 
 
 def save_json(obj: dict, path: str) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path: str) -> dict:

@@ -189,6 +189,8 @@ def similarity(
         norm_g = np.sqrt(np.mean(gv * gv, axis=0))
     else:
         raise ValueError(f"unknown method {method!r}")
+    if not np.all(np.isfinite([inner, norm_f, norm_g])):
+        raise FloatingPointError("an inner product or norm is not finite")
 
     cosines = np.empty(n)
     zero_norm = []

@@ -139,11 +139,6 @@ def extended_feature_matrix(
 ) -> np.ndarray:
     """(k N, n m) matrix M with (M W)[(i, l), j] = X_j(f_l)(x_i)."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    n = model.dimension if isinstance(model, KdeModel) else model.basis.dimension
-    if data.shape[1] != n:
-        raise ValueError("data dimension does not match model")
-    if vf_basis.dimension != n:
-        raise ValueError("vf_basis dimension does not match model")
     J = _jacobians(model, data)  # (N, k, n)
     B = design_matrix(vf_basis, data)  # (N, m)
     N, k, n = J.shape
@@ -203,8 +198,6 @@ def invariant_feature_matrix(
 ) -> np.ndarray:
     """(c N, m2) matrix with entry [(i, j), k] = X_j(b^k)(x_i)."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    if candidate_basis.dimension != fields.dimension:
-        raise ValueError("candidate basis dimension does not match fields")
     Jc = jacobian_stack(candidate_basis, data)  # (N, m2, n)
     alphas = fields.components(data)  # (N, c, n)
     N, c, _ = alphas.shape

@@ -1,9 +1,14 @@
+import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import symfield as sf
 from conftest import poly_field, poly_model
@@ -109,6 +114,18 @@ def test_fit_levelset_project_affine_circle(tmp_path):
     w = model.W[:, 0]
     expect = np.array([-1.0, 0, 0, 1.0, 0, 1.0]) / np.sqrt(3)
     assert min(np.abs(w - expect).max(), np.abs(w + expect).max()) <= 1e-2
+
+
+def test_fit_levelset_project_affine_onto_a_point_writes_no_empty_table(
+        tmp_path, monkeypatch):
+    # n affine constraints leave no coordinates; reduced.csv used to be
+    # written as bare newlines, which read_csv refuses
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((12, 2)))
+    assert run("fit-levelset", "--data", "d.csv", "--strategy", "project-affine",
+               "--k", "2", "--out", "ls") == 0
+    assert sorted(os.listdir("ls")) == ["affine_model.json", "frame.json"]
+    assert load_json("ls/frame.json")["axes"] == []
 
 
 def test_fit_levelset_extend_columns(tmp_path):
@@ -575,7 +592,7 @@ sys.exit(any(name.split(".")[0] == "scipy" for name in sys.modules))
 
 @pytest.mark.parametrize("argv,dest,value", [
     (["flow", "--field", "f.json", "--x0", "1,0", "--t", "-1e-3"], "t", -1e-3),
-    (["flow", "--field", "f.json", "--x0", "-1e-3,2", "--t", "1"], "x0", "-1e-3,2"),
+    (["flow", "--field", "f.json", "--x0", "-1e-3,2", "--t", "1"], "x0", [-1e-3, 2]),
     (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "rotation",
       "--lo", "-2E-1", "--hi", "3"], "lo", -0.2),
     (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "rotation",
@@ -583,20 +600,23 @@ sys.exit(any(name.split(".")[0] == "scipy" for name in sys.modules))
     (["discrete", "--model", "f.json", "--data", "d.csv",
       "--family", "density-rotation", "--theta-min", "-.5e-2"], "theta_min", -5e-3),
     (["grid", "--model", "m.json", "--lower", "-1e-1,-1", "--upper", "1,1"],
-     "lower", "-1e-1,-1"),
+     "lower", [-0.1, -1]),
     (["sim", "--truth", "a.json", "--estimate", "b.json", "--lower", "0,0",
-      "--upper", "-1e-1,1"], "upper", "-1e-1,1"),
+      "--upper", "-1e-1,1"], "upper", [-0.1, 1]),
     (["pullback", "--source", "s.csv", "--image", "i.csv", "--point", "-2e0,1"],
-     "point", "-2e0,1"),
+     "point", [-2, 1]),
 ])
 def test_negative_numeric_values_parse_like_attached_form(argv, dest, value):
     """Every numeric option takes a negative value in exponent notation
     after a space, as its "=" form does."""
-    split = build_parser().parse_args(_attach_negative_values(argv + ["--out", "o"]))
-    assert getattr(split, dest) == value
+    split = vars(build_parser().parse_args(
+        _attach_negative_values(argv + ["--out", "o"])))
+    assert np.array_equal(split[dest], value)
     i = argv.index("--" + dest.replace("_", "-"))
     joined = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
-    assert build_parser().parse_args(joined + ["--out", "o"]) == split
+    joined = vars(build_parser().parse_args(joined + ["--out", "o"]))
+    assert joined.keys() == split.keys()
+    assert all(np.array_equal(joined[key], split[key]) for key in split)
 
 
 def test_flow_negative_exponent_time(tmp_path, monkeypatch):
@@ -756,6 +776,13 @@ def _malformed_model_files():
             "dimension": 2, "atoms": [{"kind": "sin", "axis": 7}]}},
         "short.json": {"type": "scalar", "coefficients": [1.0], "basis": {
             "dimension": 2, "atoms": [{"kind": "monomial", "exponents": [1]}]}},
+        # int() read these as x1 and as the sine of x1
+        "half.json": {"type": "scalar", "coefficients": [1.0], "basis": {
+            "dimension": 2, "atoms": [{"kind": "monomial", "exponents": [1.5, 0]}]}},
+        "true.json": {"type": "scalar", "coefficients": [1.0], "basis": {
+            "dimension": 2, "atoms": [{"kind": "monomial", "exponents": [True, 0]}]}},
+        "axis.json": {"type": "scalar", "coefficients": [1.0], "basis": {
+            "dimension": 2, "atoms": [{"kind": "sin", "axis": 0.5}]}},
     }
 
 
@@ -825,3 +852,327 @@ def test_transform_angle_and_flow_param_are_exclusive(tmp_path, monkeypatch):
             "--angle", "--out", "c.csv")
     assert exit_.value.code == 2
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("options", [
+    ["--upper", "1e160,1e160"],
+    ["--upper", "1e300,1e300", "--method", "monte-carlo", "--mc-samples", "10"],
+], ids=["analytic", "monte-carlo"])
+def test_sim_over_a_domain_too_large_to_integrate_fails(tmp_path, monkeypatch,
+                                                        options):
+    # both wrote "aggregate": NaN and exited 0
+    monkeypatch.chdir(tmp_path)
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    assert run("sim", "--truth", "rot.json", "--estimate", "rot.json",
+               "--lower", "0,0", *options, "--out", "sim.json") == 3
+    assert not (tmp_path / "sim.json").exists()
+
+
+def test_find_invariants_on_one_row_writes_no_nan_correlations(
+        tmp_path, monkeypatch):
+    # two invariants of one point have NaN correlations, written as bare NaN
+    monkeypatch.chdir(tmp_path)
+    write_csv("one.csv", np.array([[0.3, 0.7]]))
+    save_model(sf.VectorFieldModel(monomial_basis(2, 1), [0, 0, 1.0, 0, -1.0, 0]),
+               "vf.json")
+    assert run("find-invariants", "--vf", "vf.json", "--data", "one.csv",
+               "--q", "2", "--out", "inv.json") == 2
+    assert not (tmp_path / "inv.json").exists()
+
+
+def _field_with_exponent(e):
+    """The field (x1, x2) with x1's exponent replaced by e."""
+    field = model_to_dict(poly_field(2, 1, {(1, 0): 1.0}, {(0, 1): 1.0}))
+    field["components"][0]["basis"]["atoms"][1]["exponents"] = [e, 0]
+    return field
+
+
+def test_flow_with_an_exponent_past_a_c_long_is_a_numerical_failure(
+        tmp_path, monkeypatch):
+    # the velocity's integer exponent table raised OverflowError (exit 1)
+    monkeypatch.chdir(tmp_path)
+    save_json(_field_with_exponent(1e20), "big.json")
+    assert run("flow", "--field", "big.json", "--x0", "0.5,0", "--t", "1",
+               "--steps", "3", "--out", "t.csv") == 3
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command,target", [
+    (["grid", "--model", "f.json", "--lower", "0,0", "--upper", "1,1",
+      "--resolution", "100000"], "symfield.cli.np.meshgrid"),
+    (["gen", "--name", "cubic", "--size", "10000000000"],
+     "symfield.datasets.generate"),
+    (["flow", "--field", "rot.json", "--x0", "1,0", "--t", "1",
+      "--steps", "10000000000"], "symfield.vfield.flow_integrate"),
+    (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--lower", "0,0",
+      "--upper", "1,1", "--method", "monte-carlo", "--mc-samples", "10000000000"],
+     "symfield.cli.similarity"),
+], ids=["grid", "gen", "flow", "sim"])
+def test_memory_exhaustion_is_a_numerical_failure(tmp_path, monkeypatch,
+                                                  command, target):
+    # these sizes raised numpy's _ArrayMemoryError (exit 1); the library call
+    # is replaced, so nothing is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.0 PiB")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(target, exhausted)
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    assert run(*command, "--out", "out.csv") == 3
+    assert not (tmp_path / "out.csv").exists()
+
+
+# The CLI fuzz: every subcommand from a valid command line, with up to three
+# options replaced by a malformed value or input file.  Each pool holds
+# valid, malformed and out-of-range values; None drops the option, True
+# gives a flag.  Every size is small: resolution^n, steps and size stay in
+# the tens.
+FUZZ_POOLS = {
+    "csv": ["d.csv", "pts.csv", "one.csv", "wide.csv", "huge.csv", "nan.csv",
+            "ragged.csv", "empty.csv", "header.csv", "text.csv", "nope.csv"],
+    "model": ["f.json", "f3.json", "ls.json", "kde.json", "vf.json", "vf2.json",
+              "rot.json", "inv.json", "list.json", "broken.json", "nan_coef.json",
+              "no_type.json", "nan_kde.json", "lost_kde.json", "big_power.json",
+              *sorted(_malformed_model_files())],
+    "opt": ["opt.json", "opt_mae.json", "opt_huge_rate.json", "opt_epochs0.json",
+            "opt_epochs_text.json", "opt_nan_rate.json", "opt_unknown.json",
+            "list.json", "broken.json", None],
+    "entries": ["entries.json", "entries_param1.json", "entries_3x2.json",
+                "entries_nan.json", "list.json", "broken.json", None],
+    "reference": ["ref.json", "ref_text.json", "ref_ragged.json", "ref_nan.json",
+                  "list.json", None],
+    "invariants": ["inv.json", "kde_invariants.json", "list.json", "f.json", None],
+    "vector": ["1,0", "0,0", "-1,0.5", "0.5,-2,1", "1", "nan,0", "inf,1",
+               "1e300,1e300", "-1e300,0", "", ",", "1,", "a,b", None],
+    "float": ["1", "0", "-1", "-.5", "3", "1e-300", "nan", "inf", "-inf",
+              "1e300", "-1e300", "", "x", None],
+    "count": ["-1", "0", "1", "2", "3", "1.5", "nan", "", None],
+    "param": ["k=7", "k=3", "k=2.7", "k", "=1", "k=", "k=nan", "k=inf",
+              "k=1e300", "k=-3", "k=0", "foo=1", None],
+    "bandwidth": ["scott", "0.5", "0", "-1", "nan", "inf", "1e300", "1e-300",
+                  "x", None],
+    "name": [*sf.GENERATOR_NAMES, "bogus", None],
+    "method": ["auto", "analytic", "monte-carlo", "bogus", None],
+    "family": ["reflection", "rotation", "user-linear", "density-rotation",
+               "bogus"],
+    "strategy": ["plain", "project-affine", "extend-columns", "bogus"],
+    "weights": ["none", "target", "bogus"],
+    "seed": ["3", "-1", "1.5", None],
+    "flag": [True, False],
+}
+
+# the pools of file names, and None for an output file
+FUZZ_FILE_POOLS = ("csv", "model", "opt", "entries", "reference", "invariants",
+                   None)
+
+# each command's valid command line as (option, value, pool) triples; an
+# option without a pool is an output file and is never replaced
+FUZZ_COMMANDS = {
+    "gen": [("--name", "disc-rot", "name"), ("--size", "7", "count"),
+            ("--param", "k=7", "param"), ("--seed", "3", "seed"),
+            ("--out", "out.csv", None)],
+    "fit-fn": [("--data", "d.csv", "csv"), ("--degree", "2", "count"),
+               ("--trig", False, "flag"), ("--out", "out.json", None)],
+    "fit-levelset": [("--data", "d.csv", "csv"), ("--degree", "2", "count"),
+                     ("--trig", False, "flag"), ("--k", None, "count"),
+                     ("--k-max", "3", "count"), ("--elbow-ratio", "10", "float"),
+                     ("--strategy", "plain", "strategy"),
+                     ("--known", "f.json", "model"),
+                     ("--opt-config", "opt.json", "opt"), ("--seed", "3", "seed"),
+                     ("--out", "out", None)],
+    "fit-kde": [("--data", "d.csv", "csv"), ("--weights", "target", "weights"),
+                ("--weight-power", "1", "float"),
+                ("--bandwidth", "scott", "bandwidth"), ("--out", "out.json", None)],
+    "find-vf": [("--model", "f.json", "model"), ("--data", "d.csv", "csv"),
+                ("--vf-degree", "1", "count"), ("--c", "1", "count"),
+                ("--escalate", False, "flag"), ("--opt-config", "opt.json", "opt"),
+                ("--trace-out", "trace.json", None), ("--out", "out.json", None)],
+    "find-invariants": [("--vf", "vf.json", "model"), ("--data", "d.csv", "csv"),
+                        ("--degree", "2", "count"), ("--trig", False, "flag"),
+                        ("--q", "1", "count"), ("--opt-config", "opt.json", "opt"),
+                        ("--out", "out.json", None)],
+    "flow-param": [("--vf", "vf.json", "model"), ("--data", "d.csv", "csv"),
+                   ("--degree", "2", "count"), ("--trig", False, "flag"),
+                   ("--out", "out.json", None)],
+    "flow": [("--field", "rot.json", "model"), ("--x0", "1,0", "vector"),
+             ("--t", "1", "float"), ("--steps", "3", "count"),
+             ("--out", "out.csv", None)],
+    "sim": [("--truth", "rot.json", "model"), ("--estimate", "rot.json", "model"),
+            ("--data", None, "csv"), ("--lower", "0,0", "vector"),
+            ("--upper", "1,1", "vector"), ("--method", "auto", "method"),
+            ("--mc-samples", "3", "count"), ("--seed", "3", "seed"),
+            ("--out", "out.json", None)],
+    "discrete": [("--model", "f.json", "model"), ("--data", "d.csv", "csv"),
+                 ("--family", "reflection", "family"), ("--lo", None, "float"),
+                 ("--hi", None, "float"), ("--theta-min", "0.5", "float"),
+                 ("--entries", "entries.json", "entries"),
+                 ("--n-params", "1", "count"),
+                 ("--reference", "ref.json", "reference"),
+                 ("--opt-config", "opt.json", "opt"), ("--out", "out.json", None)],
+    "pullback": [("--source", "d.csv", "csv"), ("--image", "d.csv", "csv"),
+                 ("--degree", "1", "count"), ("--point", "0,0", "vector"),
+                 ("--out", "out.json", None)],
+    "transform": [("--data", "d.csv", "csv"),
+                  ("--invariants", "inv.json", "invariants"),
+                  ("--flow-param", None, "model"), ("--angle", True, "flag"),
+                  ("--out", "out.csv", None)],
+    "grid": [("--model", "f.json", "model"), ("--lower", "-1,-1", "vector"),
+             ("--upper", "1,1", "vector"), ("--resolution", "3", "count"),
+             ("--out", "out.csv", None)],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory holding every input file a fuzzed command may name."""
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def path(name):
+        return str(root / name)
+
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((12, 2))
+    targets = (data[:, 0] - 1) ** 2 + 4 * (data[:, 1] - 1) ** 2
+    write_csv(path("d.csv"), data, targets)
+    write_csv(path("pts.csv"), data)
+    write_csv(path("one.csv"), data[:1], targets[:1])
+    write_csv(path("wide.csv"), rng.standard_normal((12, 3)))
+    write_csv(path("huge.csv"), 1e300 * np.sign(data), targets)
+    for name, text in {
+        "nan.csv": "x1,x2\n1,2\nnan,0\n0,1\n",
+        "ragged.csv": "x1,x2\n1,2\n3\n",
+        "empty.csv": "",
+        "header.csv": "x1,x2,target\n",
+        "text.csv": "x1,x2\na,b\n",
+        "broken.json": "{",
+        "list.json": "[1, 2]\n",
+        "nan_coef.json": '{"type": "scalar", "coefficients": [NaN], "basis": '
+                         '{"dimension": 1, "atoms": [{"kind": "monomial", '
+                         '"exponents": [1]}]}}',
+        "nan_kde.json": '{"type": "kde", "bandwidth": NaN, '
+                        '"centers_file": "kde.centers.csv"}',
+        "opt_nan_rate.json": '{"learning_rate": NaN}',
+        "ref_nan.json": '{"matrix": [[NaN, 1], [-1, 0]]}',
+    }.items():
+        (root / name).write_text(text)
+    f = poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0})
+    save_model(f, path("f.json"))
+    save_model(poly_model(monomial_basis(3, 1), {(1, 0, 0): 1.0}), path("f3.json"))
+    save_model(sf.LevelSetModel(monomial_basis(2, 2), np.array(
+        [[-1.0], [0], [0], [1], [0], [1]]) / np.sqrt(3)), path("ls.json"))
+    save_model(sf.kde_fit(data), path("kde.json"))
+    save_json({**load_json(path("kde.json")), "centers_file": "gone.csv"},
+              path("lost_kde.json"))
+    columns = np.zeros((6, 2))
+    columns[[2, 4], 0] = [1.0, -1.0]
+    columns[[1, 5], 1] = [1.0, 1.0]
+    save_model(sf.VectorFieldModel(monomial_basis(2, 1), columns[:, 0]),
+               path("vf.json"))
+    save_model(sf.VectorFieldModel(monomial_basis(2, 1), columns),
+               path("vf2.json"))
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), path("rot.json"))
+    save_json({"models": [model_to_dict(f)]}, path("inv.json"))
+    save_json({"models": [load_json(path("kde.json"))]}, path("kde_invariants.json"))
+    save_json({"coefficients": [1.0]}, path("no_type.json"))
+    save_json(_field_with_exponent(1e20), path("big_power.json"))
+    for name, model in _malformed_model_files().items():
+        save_json(model, path(name))
+    for name, opt in {"opt": {"loss": "mean-squared"},
+                      "opt_mae": {"loss": "mean-absolute", "epochs": 20},
+                      "opt_huge_rate": {"loss": "mean-absolute", "epochs": 5,
+                                        "learning_rate": 1e300},
+                      "opt_epochs0": {"epochs": 0},
+                      "opt_epochs_text": {"epochs": "x"},
+                      "opt_unknown": {"learning-rate": 0.5}}.items():
+        save_json(opt, path(name + ".json"))
+    a = {"param": 0}
+    cos, sin = _tree("cos", a), _tree("sin", a)
+    for name, entries in {"entries": [[cos, sin], [_tree("neg", sin), cos]],
+                          "entries_param1": [[{"param": 1}, 0], [0, 1]],
+                          "entries_3x2": [[1, 0], [0, 1], [0, 0]]}.items():
+        save_json({"entries": entries}, path(name + ".json"))
+    (root / "entries_nan.json").write_text(
+        '{"entries": [[{"const": NaN}, 0], [0, {"param": 0}]]}')
+    save_json({"matrix": [[0, 1], [-1, 0]]}, path("ref.json"))
+    save_json({"matrix": "x"}, path("ref_text.json"))
+    save_json({"matrix": [[0, 1], [-1]]}, path("ref_ragged.json"))
+    return str(root)
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _check_outputs(tmp, inputs, argv):
+    """Every file the command wrote parses strictly and has its shape."""
+    for dirpath, _, names in os.walk(tmp):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            if os.path.relpath(path, tmp) in inputs:
+                continue
+            with open(path) as fh:
+                text = fh.read()
+            if name.endswith(".json"):
+                _strict_json(text)
+            else:
+                read_csv(path)  # refuses ragged, empty and non-finite tables
+    args = build_parser().parse_args(_attach_negative_values(argv))
+    out = args.out
+    assert os.path.exists(out)
+    if args.command == "flow":
+        assert read_csv(out)[0].shape == (args.steps + 1, args.x0.size)
+    elif args.command == "grid":
+        n, model = args.lower.size, load_model(args.model)
+        k = model.W.shape[1] if isinstance(model, sf.LevelSetModel) else (
+            n if isinstance(model, sf.BasisVectorField) else 1)
+        assert read_csv(out)[0].shape == (args.resolution**n, n + k)
+    elif args.command == "gen":
+        assert len(read_csv(out)[0]) == args.size
+    elif args.command == "transform":
+        assert len(read_csv(out)[0]) == len(read_csv(args.data)[0])
+    elif args.command == "fit-levelset":
+        reduced = os.path.join(out, "reduced.csv")
+        if os.path.exists(reduced):
+            assert len(read_csv(reduced)[0]) == len(read_csv(args.data)[0])
+    elif args.command == "pullback":
+        report = load_json(out)
+        assert np.shape(report["metric"]) == (len(report["point"]),) * 2
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=st.data())
+def test_cli_fuzz_exits_0_2_or_3_and_writes_only_valid_output(
+        fuzz_inputs, command, draw):
+    """Malformed options and input files exit 2 or 3; what exits 0 writes
+    strict JSON and CSVs of the expected shape."""
+    options = FUZZ_COMMANDS[command]
+    order = draw.draw(st.permutations(
+        [i for i, (_, _, pool) in enumerate(options) if pool]))
+    mutate = order[:draw.draw(st.integers(1, 3))]
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(fuzz_inputs, tmp, dirs_exist_ok=True)
+        argv = [command]
+        for i, (option, value, pool) in enumerate(options):
+            if i in mutate:
+                value = draw.draw(st.sampled_from(FUZZ_POOLS[pool]),
+                                  label=option)
+            if value is True:
+                argv.append(option)
+            elif isinstance(value, str):
+                if pool in FUZZ_FILE_POOLS:
+                    value = os.path.join(tmp, value)
+                joined = draw.draw(st.booleans(), label=option + " joined")
+                argv += [f"{option}={value}"] if joined else [option, value]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        event(f"{command} exits {code}")
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            _check_outputs(tmp, os.listdir(fuzz_inputs), argv)

@@ -42,11 +42,9 @@ def test_reflection_involution():
         assert np.abs(S @ S - np.eye(2)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("builtin", [True, False])
-def test_reflection_scale_invariance(builtin):
+def test_reflection_scale_invariance():
     # a unit-norm family is evaluated at p / |p|
-    family = (reflection_family() if builtin
-              else user_linear_family(REFLECTION_ENTRIES, 2))
+    family = reflection_family()
     f = poly_model(monomial_basis(2, 2), {(1, 1): 1.0})
     data = np.random.default_rng(1).standard_normal((30, 2))
     p = np.array([0.6, 0.8])
@@ -656,11 +654,9 @@ def _seam_case(phi, rng):
 
 @pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
 @pytest.mark.parametrize("phi", [0.0, np.pi / 2])
-@pytest.mark.parametrize("builtin", [True, False])
-def test_unit_norm_angle_fit_recovers_reflection_on_each_seam(phi, loss, builtin):
+def test_unit_norm_angle_fit_recovers_reflection_on_each_seam(phi, loss):
     f, data = _seam_case(phi, np.random.default_rng(15))
-    family = (reflection_family() if builtin
-              else user_linear_family(REFLECTION_ENTRIES, 2))
+    family = reflection_family()
     cfg = sf.OptimizerConfig("riemannian-adagrad", loss, 0.05, 500)
     result = fit_discrete(f, data, family, cfg)
     np.testing.assert_allclose(result.parameters, [np.cos(phi), np.sin(phi)],
@@ -672,14 +668,12 @@ def test_unit_norm_angle_fit_recovers_reflection_on_each_seam(phi, loss, builtin
 @pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
 @pytest.mark.parametrize("k,interval", [(3, (1.0, 3.0)), (5, (0.5, 2.0)),
                                         (7, (0.3, 1.5))])
-@pytest.mark.parametrize("builtin", [True, False])
-def test_interval_angle_fit_recovers_generating_angle(k, interval, loss, builtin):
+def test_interval_angle_fit_recovers_generating_angle(k, interval, loss):
     # Re (x + i y)^k is preserved by rotations through multiples of 2 pi / k;
     # each interval holds one of them
     data = np.random.default_rng(16).standard_normal((200, 2))
     f = lambda X: np.real((X[:, 0] + 1j * X[:, 1]) ** k)
-    family = (rotation_family(*interval) if builtin else
-              user_linear_family(ROTATION_ENTRIES, 1, "interval", interval))
+    family = rotation_family(*interval)
     cfg = sf.OptimizerConfig("riemannian-adagrad", loss, 0.05, 500)
     result = fit_discrete(f, data, family, cfg)
     assert result.parameters[0] == pytest.approx(2 * np.pi / k, abs=1e-6)
