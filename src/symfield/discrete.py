@@ -6,35 +6,28 @@ about a line through the origin and planar rotation by a fixed angle
 included, is an n x n matrix of expression trees over its parameters under a
 unit-norm or an interval constraint.  A unit-norm family is evaluated at
 p/|p|; for an even one, M(-p) = M(p), fit_discrete reports p with its largest
-entry positive.  Both fits search an angle on a coarse grid and refine it by
-Brent's bounded minimisation.  fit_density_rotation picks one grid minimum,
-the smallest angle of comparable grid loss, and refines it once when its
-coarse model is the full model, or on a thinned model and then on the full
-data.  fit_discrete's _angle_search refines every grid minimum and takes the
-smallest angle of comparable refined loss; it runs along one line of the
-parameter set at a time (a coordinate of an interval family, a turn in one
-coordinate plane of a unit-norm family) and sweeps the lines until the
+entry positive.  fit_discrete's _angle_search scores an angle on a coarse
+grid, refines every grid minimum by Brent's bounded minimisation and takes
+the smallest angle of comparable refined loss; it runs along one line of
+the parameter set at a time (a coordinate of an interval family, a turn in
+one coordinate plane of a unit-norm family) and sweeps the lines until the
 parameters stop moving; it scores each line's grid in stacked calls of f,
-each on at most _BLOCK_POINTS transformed points.
+each on at most _BLOCK_POINTS transformed points.  fit_density_rotation is
+fit_discrete on a rotation family, with f an estimated density read from a
+table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 
 import numpy as np
 
 from .manifold import OptimizerConfig
-from .model_fit import (
-    KdeModel,
-    ScalarFunctionModel,
-    _rotate,
-    kde_eval,
-    kde_eval_mirrored,
-)
+from .model_fit import KdeModel, ScalarFunctionModel, _kde_table, kde_eval
 
 __all__ = [
     "ParametricFamily",
@@ -215,14 +208,11 @@ def _residual_losses(f, data, base, family, P, loss_kind) -> np.ndarray:
     return np.mean(np.abs(r), axis=1)
 
 
-_GRID = 64  # both searches' coarse grids have _GRID + 2 angles
+_GRID = 64  # every line's grid has _GRID + 2 angles
 _BLOCK_POINTS = 1 << 12  # most transformed points in one grid call of f
-_THIN = 4096  # centres in density rotation's coarse stage, queried at themselves
 _FIT_XATOL = 1e-10  # fit_discrete's line-search tolerance
 _SWEEP_TOL = 1e-8  # fit_discrete stops when a sweep moves no coordinate further
 _MAX_SWEEPS = 50
-_COARSE_XATOL = 1e-4  # density rotation's coarse and full-data tolerances
-_DENSITY_XATOL = 1e-5
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -288,21 +278,6 @@ def _brent(loss, a: float, b: float, xatol: float) -> tuple[float, float]:
     return float(xf), float(fx)
 
 
-def _grid_minima(vals) -> list[int]:
-    """Interior local minima of the grid losses vals, else the best (an end)."""
-    interior = [i for i in range(1, len(vals) - 1)
-                if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
-    return interior or [int(np.argmin(vals))]
-
-
-def _smallest_comparable(candidates, vals):
-    """Smallest key of the (key, loss) candidates whose loss is comparable to
-    the best: at most 2 best + sqrt(eps) (range of the grid losses vals)."""
-    floor = (2.0 * min(loss for _, loss in candidates)
-             + _SQRT_EPS * (max(vals) - min(vals)))
-    return min(key for key, loss in candidates if loss <= floor)
-
-
 def _angle_search(loss, grid: np.ndarray, vals, xatol: float) -> float:
     """The smallest angle whose loss is comparable to the best.
 
@@ -315,10 +290,17 @@ def _angle_search(loss, grid: np.ndarray, vals, xatol: float) -> float:
     that much of the loss's scale.  With no interior local minimum the best
     grid point, an end, is returned.
     """
-    return _smallest_comparable(
-        [_brent(loss, grid[i - 1], grid[i + 1], xatol)
-         if 0 < i < len(grid) - 1 else (float(grid[i]), vals[i])
-         for i in _grid_minima(vals)], vals)
+    candidates = [
+        _brent(loss, grid[i - 1], grid[i + 1], xatol)
+        for i in range(1, len(grid) - 1)
+        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]
+    ]
+    if not candidates:
+        i = int(np.argmin(vals))
+        candidates = [(float(grid[i]), vals[i])]
+    best = min(loss for _, loss in candidates)
+    floor = 2.0 * best + _SQRT_EPS * (max(vals) - min(vals))
+    return min(t for t, loss in candidates if loss <= floor)
 
 
 def fit_discrete(
@@ -398,42 +380,19 @@ def fit_discrete(
                              excluded_region_active=boundary)
 
 
-def _thin(arr: np.ndarray) -> np.ndarray:
-    """At most _THIN rows of arr, taken at an even stride."""
-    return arr[::max(1, arr.shape[0] // _THIN)][:_THIN]
-
-
-def _density_candidate(grid: np.ndarray, vals) -> int:
-    """Index of the grid angle density rotation refines.
-
-    _angle_search's rule on the grid losses alone, with no refinement.
-    A sampled density's loss does not vanish at a symmetry, and its grid
-    losses rank the minima as their refined losses do; fit_discrete's
-    zero-residual families need refined losses to tell a generator from its
-    multiples, so _angle_search refines them all.
-    """
-    return _smallest_comparable([(i, vals[i]) for i in _grid_minima(vals)], vals)
-
-
 def fit_density_rotation(
     kde: KdeModel, data: np.ndarray, theta_min: float
 ) -> DiscreteFitResult:
     """Rotation angle in (theta_min, 2 pi - theta_min) matching the estimated
     density.
 
-    Minimizes mean |p(S(theta) x_i) - p(x_i)|.  A coarse grid of _GRID + 2
-    angles is scored on a model of at most _THIN of kde's centres, thinned
-    at an even stride, at that model's own centres, which are the data when
-    kde was fitted on them.  The grid pairs each angle theta with
-    2 pi - theta, and one kernel pass (kde_eval_mirrored) scores both.
-    _density_candidate picks one grid angle.  When the coarse model is the
-    full model (kde has at most _THIN centres and data equals them) one
-    _brent run (xatol 1e-5) between the angle's grid neighbours gives the
-    answer.  Otherwise a coarse _brent (xatol 1e-4) there, skipped at an end
-    of the grid, is followed by one _brent (xatol 1e-5) within a grid
-    spacing of its angle on the full model and the full dataset.
-    excluded_region_active is set when the angle is pinned at either end of
-    the allowed range.
+    Minimizes mean |p(S(theta) x_i) - p(x_i)|: fit_discrete's mean-absolute
+    residual of p on rotation_family(theta_min, 2 pi - theta_min), with
+    fit_discrete's search and boundary flag.  Rotations keep |x|, so p is
+    read from a table over the disc of radius max |x_i| (model_fit's
+    _kde_table), or is kde_eval itself when that table would be too large
+    or the radius is not finite.  final_loss is the exact loss at the
+    chosen angle, from one kde_eval of the data and one of its turn.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:
@@ -442,38 +401,13 @@ def fit_density_rotation(
         raise ValueError("theta_min must lie in (0, pi)")
     # the excluded region around the identity is symmetric: angles within
     # theta_min of a full turn are just as trivial as small ones
-    theta_max = 2.0 * np.pi - theta_min
-
-    def change_from(model, points):
-        """theta -> mean |p(S(theta) points) - p(points)| under model, and
-        density -> mean |density - p(points)|."""
-        base = kde_eval(model, points)
-        change = lambda density: float(np.mean(np.abs(density - base)))
-        return lambda t: change(kde_eval(model, _rotate(points, t))), change
-
-    coarse = KdeModel(_thin(kde.centers), _thin(kde.weights), kde.bandwidth)
-    coarse_loss, change = change_from(coarse, coarse.centers)
-    half = np.linspace(theta_min, theta_max, _GRID + 2)[: _GRID // 2 + 1]
-    scored = [[change(p) for p in kde_eval_mirrored(coarse, t)] for t in half]
-    grid = np.concatenate([half, 2.0 * np.pi - half[::-1]])
-    i = _density_candidate(
-        grid, [ahead for ahead, _ in scored] + [behind for _, behind in scored[::-1]])
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    if len(kde.centers) <= _THIN and np.array_equal(data, kde.centers):
-        theta, loss = _brent(coarse_loss, lo, hi, _DENSITY_XATOL)
-    else:
-        theta0 = (_brent(coarse_loss, lo, hi, _COARSE_XATOL)[0]
-                  if 0 < i < len(grid) - 1 else grid[i])
-        spacing = (theta_max - theta_min) / (_GRID + 1)
-        lo = max(theta_min, theta0 - spacing)
-        hi = min(theta_max, theta0 + spacing)
-        theta, loss = _brent(change_from(kde, data)[0], lo, hi, _DENSITY_XATOL)
-    pinned = 10.0 * _DENSITY_XATOL
-    boundary = bool((lo == theta_min and theta - theta_min < pinned)
-                    or (hi == theta_max and theta_max - theta < pinned))
-    return DiscreteFitResult(
-        np.array([theta]), loss, excluded_region_active=boundary
-    )
+    family = rotation_family(theta_min, 2.0 * np.pi - theta_min)
+    density = (_kde_table(kde, float(np.max(np.hypot(data[:, 0], data[:, 1]))))
+               or partial(kde_eval, kde))
+    fit = fit_discrete(density, data, family, OptimizerConfig(loss="mean-absolute"))
+    turned = data @ family.matrix(fit.parameters).T
+    fit.final_loss = float(np.mean(np.abs(kde_eval(kde, turned) - kde_eval(kde, data))))
+    return fit
 
 
 def rotation_generator(angle: float) -> np.ndarray:

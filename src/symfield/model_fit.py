@@ -3,12 +3,14 @@
 Covers polynomial/trig regression of targets, constrained level-set
 estimation with elbow-based component selection, the two degeneracy
 workarounds (projection onto discovered affine components, artificial
-column extension), and weighted Gaussian kernel density estimation with
-analytic gradients.
+column extension), and weighted Gaussian kernel density estimation: exact
+densities and analytic gradients from cache-blocked kernel sums, and a
+planar density tabulated once and read by bicubic interpolation.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,13 +40,19 @@ __all__ = [
     "kde_fit",
     "kde_eval",
     "kde_gradient",
-    "kde_eval_mirrored",
 ]
 
 ELBOW_LOSS_FLOOR = 1e-12
 # one row block of kernel values holds about this many doubles (512 KB), so
 # the exponent, its exponential and the weighted sums stay in cache
 KERNEL_BLOCK_ELEMENTS = 1 << 16
+# _kde_table's node spacing in bandwidths: at h/20 density rotation's angle
+# lies within 1.9e-6 of the exact loss's optimum on the benchmark's twelve
+# disc-rot fits (5.4e-6 at h/16, 2.5e-5 at h/10)
+TABLE_SPACING = 1.0 / 20.0
+# _kde_table's most cells, a 17 MB table: room for criterion 6's N = 20000
+# fits, which need 0.74 and 1.07 million cells at seeds 3 and 401
+TABLE_MAX_CELLS = 1 << 21
 
 
 class EmptyLevelSetError(ValueError):
@@ -295,8 +303,11 @@ class KdeModel:
         if not (np.all(np.isfinite(self.weights)) and np.all(self.weights >= 0)
                 and self.weights.sum() > 0):
             raise ValueError("weights must be finite, nonnegative, with positive sum")
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError("bandwidth must be finite and positive")
+        # the kernel divides by h^2, which must be a finite normal number
+        with np.errstate(all="ignore"):
+            h2 = np.float64(self.bandwidth) ** 2
+        if not (self.bandwidth > 0 and np.finfo(float).tiny <= h2 < np.inf):
+            raise ValueError("bandwidth must be positive with a finite normal square")
 
     @property
     def dimension(self) -> int:
@@ -328,14 +339,10 @@ def kde_fit(
 
 
 def _kernel_sums(
-    model: KdeModel,
-    points: np.ndarray,
-    want_gradient: bool,
-    point_weights: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Sums of the kernel matrix K[i, j] = k(p_i - c_j) over cache-sized row
-    blocks: the weighted row sums K w, their gradient sums if want_gradient,
-    and the column sums u K if point_weights u (one per point) are given."""
+    model: KdeModel, points: np.ndarray, want_gradient: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Weighted row sums K w of the kernel matrix K[i, j] = k(p_i - c_j), and
+    their gradient sums if want_gradient, over cache-sized row blocks."""
     # centring keeps the cancellation in |p|^2 + |c|^2 - 2 p.c independent
     # of where the data sit
     shift = model.centers.mean(axis=0)
@@ -352,7 +359,6 @@ def _kernel_sums(
     wC = model.weights[:, None] * C
     vals = np.empty(len(P))
     grads = np.empty(P.shape) if want_gradient else None
-    cols = None if point_weights is None else np.zeros(len(C))
     rows = max(1, KERNEL_BLOCK_ELEMENTS // len(C))
     buf = np.empty((min(rows, len(P)), len(C)))
     for lo in range(0, len(P), rows):
@@ -362,9 +368,7 @@ def _kernel_sums(
         vals[blk] = v = K @ model.weights
         if want_gradient:
             grads[blk] = (K @ wC - v[:, None] * P[blk]) / h2
-        if cols is not None:
-            cols += point_weights[blk] @ K
-    return vals, grads, cols
+    return vals, grads
 
 
 def _kde_norm(model: KdeModel) -> float:
@@ -376,34 +380,59 @@ def _kde_norm(model: KdeModel) -> float:
 
 def kde_eval(model: KdeModel, points: np.ndarray) -> np.ndarray:
     """Density values of the weighted Gaussian mixture."""
-    vals, _, _ = _kernel_sums(model, points, want_gradient=False)
+    vals, _ = _kernel_sums(model, points, want_gradient=False)
     return vals / _kde_norm(model)
 
 
 def kde_gradient(model: KdeModel, points: np.ndarray) -> np.ndarray:
     """(N, n) array of analytic density gradients."""
-    _, grads, _ = _kernel_sums(model, points, want_gradient=True)
+    _, grads = _kernel_sums(model, points, want_gradient=True)
     return grads / _kde_norm(model)
 
 
-def _rotate(points: np.ndarray, theta: float) -> np.ndarray:
-    """Planar points turned by the rotation S(theta) of discrete's rotation
-    family."""
-    c, s = np.cos(theta), np.sin(theta)
-    return points @ np.array([[c, s], [-s, c]]).T
+def _kde_table(model: KdeModel, radius: float):
+    """points -> density of a planar model on the square |x|, |y| <= radius,
+    read by Catmull-Rom interpolation (Keys 1981) from a table of the exact
+    density at nodes TABLE_SPACING bandwidths apart, or None when the table
+    would need more than TABLE_MAX_CELLS cells or radius is not finite.
 
-
-def kde_eval_mirrored(
-    model: KdeModel, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Densities at the model's own centres c turned by theta and by -theta,
-    (p(S(theta) c), p(S(-theta) c)), from one kernel pass.
-
-    With K[i, j] = k(S(theta) c_i - c_j), the row sums K w give p(S(theta) c)
-    and the column sums w K give p(S(-theta) c), because
-    |S(theta) c_i - c_j| = |c_i - S(-theta) c_j|.
+    The nodes span the square and one node past each edge for the
+    interpolation stencil.  The Gaussian kernel is separable, so the table
+    is one product sum_j w_j k(x_a - c_j,x) k(y_b - c_j,y), built over blocks
+    of centres in one reused buffer: 2 nodes x centres exponentials, where
+    kde_eval on the nodes takes nodes^2 x centres.
     """
-    turned = _rotate(model.centers, theta)
-    vals, _, cols = _kernel_sums(model, turned, False, point_weights=model.weights)
-    norm = _kde_norm(model)
-    return vals / norm, cols / norm
+    step = TABLE_SPACING * model.bandwidth
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.ceil(2.0 * radius / step)
+    if not cells <= math.isqrt(TABLE_MAX_CELLS):  # also when radius is inf or nan
+        return None
+    cells = max(int(cells), 1)
+    nodes = -radius + step * np.arange(-1, cells + 2)
+    table = np.zeros((len(nodes), len(nodes)))
+    rows = max(1, KERNEL_BLOCK_ELEMENTS // len(nodes))
+    buf = np.empty((2, min(rows, len(model.centers)), len(nodes)))
+    for lo in range(0, len(model.centers), rows):
+        c = model.centers[lo:lo + rows]
+        kx, ky = buf[:, : len(c)]
+        for k, axis in ((kx, 0), (ky, 1)):
+            np.subtract(nodes, c[:, axis, None], out=k)
+            k /= model.bandwidth
+            np.exp(-0.5 * k * k, out=k)
+        kx *= model.weights[lo:lo + rows, None]
+        table += kx.T @ ky
+    table /= _kde_norm(model)
+    flat = table.ravel()
+    stencil = np.arange(-1, 3)
+
+    def density(points):
+        u = np.asarray(points, dtype=float) / step + (radius / step + 1.0)
+        k = np.clip(np.floor(u), 1, cells).astype(int)  # each cell's low node
+        t = u - k
+        w = 0.5 * np.stack([((2.0 - t) * t - 1.0) * t, (3.0 * t - 5.0) * t * t + 2.0,
+                            ((4.0 - 3.0 * t) * t + 1.0) * t, (t - 1.0) * t * t], -1)
+        index = ((k[:, 0, None] + stencil)[:, :, None] * len(nodes)
+                 + (k[:, 1, None] + stencil)[:, None, :])
+        return np.einsum("pa,pab,pb->p", w[:, 0], flat[index], w[:, 1])
+
+    return density

@@ -261,8 +261,8 @@ def _velocity(field):
     A VectorFieldModel gives its basis and field 0's blocks; a
     BasisVectorField gives the union of its component bases, with each
     coefficient at its atom's index.  A polynomial basis evaluates its atoms
-    as one product over a table of coordinate powers; any other basis takes a
-    design-matrix row.  Each power takes a scalar exponent and each component
+    as one product over a table of coordinate powers, one row per distinct
+    exponent; any other basis takes a design-matrix row.  Each power takes a scalar exponent and each component
     is its own (1, m) @ (m,) product, as in FeatureAtom.values and
     ScalarFunctionModel, so a field over one basis gives the same bits as
     evaluating its components one by one.
@@ -282,13 +282,16 @@ def _velocity(field):
     E = np.array([a.exponents for a in basis.atoms], dtype=int).reshape(
         len(basis), basis.dimension
     )
-    # powers[e, j] = y_j ** e; atom k's factors are powers.flat[index[k]]
-    powers = np.ones((E.max(initial=0) + 1, basis.dimension))
-    index = E * basis.dimension + np.arange(basis.dimension)
+    # powers[i, j] = y_j ** exponents[i], one row per distinct exponent;
+    # atom k's factors are powers.flat[index[k]]
+    exponents, inverse = np.unique(E, return_inverse=True)
+    powers = np.ones((len(exponents), basis.dimension))
+    index = inverse.reshape(E.shape) * basis.dimension + np.arange(basis.dimension)
+    raised = [(i, e) for i, e in enumerate(exponents.tolist()) if e]
 
     def velocity(y):
-        for e in range(1, len(powers)):
-            powers[e] = y ** e
+        for i, e in raised:
+            powers[i] = y ** e
         return (rows @ powers.take(index).prod(axis=1))[:, 0]
 
     return velocity

@@ -641,11 +641,13 @@ def test_flow_negative_exponent_time(tmp_path, monkeypatch):
     ["fit-kde", "--data", "d.csv", "--bandwidth", "nan"],
     ["fit-kde", "--data", "d.csv", "--bandwidth", "inf"],
     ["fit-kde", "--data", "d.csv", "--bandwidth", "0"],
+    ["fit-kde", "--data", "d.csv", "--bandwidth", "1e-300"],
+    ["fit-kde", "--data", "d.csv", "--bandwidth", "1e300"],
 ])
 def test_malformed_model_and_config_inputs_fail(tmp_path, monkeypatch, command):
     """A vector-field model where a function is needed, an invariants or
-    optimizer file that is not an object, and a bandwidth that is not finite
-    and positive are validation errors."""
+    optimizer file that is not an object, and a bandwidth that is not positive
+    with a finite normal square are validation errors."""
     monkeypatch.chdir(tmp_path)
     write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
     save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
@@ -933,7 +935,8 @@ FUZZ_POOLS = {
             "ragged.csv", "empty.csv", "header.csv", "text.csv", "nope.csv"],
     "model": ["f.json", "f3.json", "ls.json", "kde.json", "vf.json", "vf2.json",
               "rot.json", "inv.json", "list.json", "broken.json", "nan_coef.json",
-              "no_type.json", "nan_kde.json", "lost_kde.json", "big_power.json",
+              "no_type.json", "nan_kde.json", "lost_kde.json", "narrow_kde.json",
+              "big_power.json",
               *sorted(_malformed_model_files())],
     "opt": ["opt.json", "opt_mae.json", "opt_huge_rate.json", "opt_epochs0.json",
             "opt_epochs_text.json", "opt_nan_rate.json", "opt_unknown.json",
@@ -1062,6 +1065,8 @@ def fuzz_inputs(tmp_path_factory):
     save_model(sf.LevelSetModel(monomial_basis(2, 2), np.array(
         [[-1.0], [0], [0], [1], [0], [1]]) / np.sqrt(3)), path("ls.json"))
     save_model(sf.kde_fit(data), path("kde.json"))
+    # too narrow for a density table: density rotation reads kde_eval itself
+    save_model(sf.kde_fit(data, bandwidth=1e-3), path("narrow_kde.json"))
     save_json({**load_json(path("kde.json")), "centers_file": "gone.csv"},
               path("lost_kde.json"))
     columns = np.zeros((6, 2))
@@ -1176,3 +1181,22 @@ def test_cli_fuzz_exits_0_2_or_3_and_writes_only_valid_output(
         assert code in (0, 2, 3), argv
         if code == 0:
             _check_outputs(tmp, os.listdir(fuzz_inputs), argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["discrete", "--model", "narrow_kde.json", "--data", "d.csv",
+     "--family", "density-rotation", "--theta-min", "0.5", "--out", "out.json"],
+    ["grid", "--model", "narrow_kde.json", "--lower", "-1,-1", "--upper", "1,1",
+     "--resolution", "3", "--out", "out.csv"],
+    ["find-vf", "--model", "narrow_kde.json", "--data", "d.csv",
+     "--opt-config", "opt.json", "--out", "out.json"],
+], ids=["discrete", "grid", "find-vf"])
+def test_narrow_kde_runs_through_the_exact_evaluator(fuzz_inputs, tmp_path, argv):
+    """A bandwidth far below the data's extent needs more table cells than
+    the cap, so density rotation reads kde_eval itself; grid and find-vf
+    always do.  The fuzz rarely draws these command lines."""
+    shutil.copytree(fuzz_inputs, tmp_path, dirs_exist_ok=True)
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a
+            for a in argv]
+    assert main(argv) == 0
+    _check_outputs(str(tmp_path), os.listdir(fuzz_inputs), argv)

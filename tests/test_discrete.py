@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,14 +19,12 @@ from symfield.discrete import (
     similarity_matrix,
     user_linear_family,
     _BLOCK_POINTS,
-    _DENSITY_XATOL,
     _angle_search,
     _brent,
-    _density_candidate,
     _residual_losses,
 )
 from symfield.features import monomial_basis
-from symfield.model_fit import KdeModel, _rotate, kde_eval, kde_fit
+from symfield.model_fit import kde_eval, kde_fit
 
 CFG = sf.OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.05, 400)
 
@@ -162,27 +161,23 @@ def test_density_rotation_recovers_square_symmetry():
 def _loss_one_angle_per_pass(model, points):
     """theta -> mean |p(S(theta) x) - p(x)|, one kernel pass per angle."""
     base = kde_eval(model, points)
+    turn = rotation_family(0.0, 2 * np.pi).matrix
     return lambda theta: float(
-        np.mean(np.abs(kde_eval(model, _rotate(points, theta)) - base)))
-
-
-def _coarse_loss_one_angle_per_pass(kde, data):
-    thin = discrete._thin
-    coarse = KdeModel(thin(kde.centers), thin(kde.weights), kde.bandwidth)
-    return _loss_one_angle_per_pass(coarse, thin(data))
+        np.mean(np.abs(kde_eval(model, points @ turn([theta]).T) - base)))
 
 
 def _density_rotation_one_angle_per_pass(kde, data, theta_min):
     """fit_density_rotation as it was before the mirrored passes: the coarse
     grid is linspace(theta_min, 2 pi - theta_min, 66), scored one angle per
-    kernel pass at the thinned data."""
+    kernel pass at the data, and the coarse angle is refined at xatol 1e-5
+    within one grid spacing."""
     theta_max = 2.0 * np.pi - theta_min
-    loss = _coarse_loss_one_angle_per_pass(kde, data)
+    loss = _loss_one_angle_per_pass(kde, data)
     grid = np.linspace(theta_min, theta_max, 66)
     theta0 = _angle_search(loss, grid, [loss(t) for t in grid], 1e-4)
     spacing = (theta_max - theta_min) / 65
     lo, hi = max(theta_min, theta0 - spacing), min(theta_max, theta0 + spacing)
-    return _brent(_loss_one_angle_per_pass(kde, data), lo, hi, 1e-5)
+    return _brent(loss, lo, hi, 1e-5)
 
 
 def _disc_rot_kde(n_points, seed):
@@ -191,104 +186,48 @@ def _disc_rot_kde(n_points, seed):
     return kde_fit(data, weights / weights.sum()), data
 
 
-@pytest.mark.parametrize("thin", [None, 150])
-@pytest.mark.parametrize("seed", [401, 11, 977])
-@pytest.mark.parametrize("n_points", [1000, 1500])
+@pytest.mark.parametrize("n_points,seed,max_cells", [
+    *((n, seed, None) for n in (1000, 1500) for seed in (401, 11, 977)),
+    (1500, 977, 0),
+])
 def test_density_rotation_matches_one_angle_per_pass(
-        monkeypatch, n_points, seed, thin):
-    # the benchmark's disc-rot inputs; thin = 150 takes the thinned path, the
-    # reference's two stages.  Unthinned, one Brent run at xatol 1e-5 stands
-    # for both, so the angle agrees to that tolerance.
-    if thin is not None:
-        monkeypatch.setattr(discrete, "_THIN", thin)
+        monkeypatch, n_points, seed, max_cells):
+    # the benchmark's disc-rot inputs, read from the table (max_cells None,
+    # the module's cap) or, with no table allowed, from kde_eval itself: the
+    # angle agrees with the reference's xatol, and the loss is exact
+    if max_cells is not None:
+        monkeypatch.setattr(model_fit, "TABLE_MAX_CELLS", max_cells)
     kde, data = _disc_rot_kde(n_points, seed)
     theta, loss = _density_rotation_one_angle_per_pass(kde, data, np.pi / 6)
     result = fit_density_rotation(kde, data, np.pi / 6)
-    if thin is None:
-        assert result.parameters[0] == pytest.approx(
-            theta, rel=0, abs=_DENSITY_XATOL)
-        assert result.final_loss == pytest.approx(loss, rel=1e-7, abs=0)
-    else:
-        assert result.parameters[0] == pytest.approx(theta, rel=0, abs=1e-9)
-        assert result.final_loss == pytest.approx(loss, rel=1e-9, abs=0)
+    assert result.parameters[0] == pytest.approx(theta, rel=0, abs=1e-5)
+    assert result.final_loss == pytest.approx(loss, rel=1e-7, abs=0)
 
 
-def _hooked_candidate(monkeypatch):
-    """Record each (grid, vals, chosen index) of _density_candidate."""
-    picked = []
-
-    def candidate(grid, vals):
-        i = _density_candidate(grid, vals)
-        picked.append((grid, vals, i))
-        return i
-
-    monkeypatch.setattr(discrete, "_density_candidate", candidate)
-    return picked
-
-
-@pytest.mark.parametrize("thin", [None, 150])
-def test_density_rotation_grid_losses_match_one_angle_per_pass(monkeypatch, thin):
-    # the grid's upper half is scored by the column sums of the lower half's
-    # passes: each angle must get its own loss
-    if thin is not None:
-        monkeypatch.setattr(discrete, "_THIN", thin)
+def test_density_rotation_without_a_table_matches_the_table(monkeypatch):
+    # with a cell cap below the node rule's count no table is built, and the
+    # fit reads kde_eval itself; the table's angle lies within 1.9e-6 of the
+    # exact loss's optimum on the benchmark's 12 disc-rot fits
     kde, data = _disc_rot_kde(1000, 401)
-    picked = _hooked_candidate(monkeypatch)
-    fit_density_rotation(kde, data, np.pi / 6)
-    [(grid, vals, _)] = picked
-    np.testing.assert_allclose(
-        grid, np.linspace(np.pi / 6, 11 * np.pi / 6, 66), rtol=0, atol=1e-14)
-    loss = _coarse_loss_one_angle_per_pass(kde, data)
-    np.testing.assert_allclose(vals, [loss(t) for t in grid], rtol=1e-12)
+    table = fit_density_rotation(kde, data, np.pi / 6)
+    peaks = []
 
+    def traced_table(model, radius):
+        tracemalloc.start()
+        try:
+            assert model_fit._kde_table(model, radius) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
 
-@pytest.mark.parametrize("seed", [401, 11, 977])
-@pytest.mark.parametrize("n_points", [1000, 1500])
-def test_density_candidate_is_the_minimum_all_candidates_refine_to(
-        monkeypatch, n_points, seed):
-    # refining every interior grid minimum and taking the smallest angle of
-    # comparable refined loss ends inside the bracket of the one chosen grid
-    # minimum
-    kde, data = _disc_rot_kde(n_points, seed)
-    picked = _hooked_candidate(monkeypatch)
-    fit_density_rotation(kde, data, np.pi / 6)
-    [(grid, vals, i)] = picked
-    assert 0 < i < len(grid) - 1
-    theta0 = _angle_search(_coarse_loss_one_angle_per_pass(kde, data),
-                           grid, vals, 1e-4)
-    assert grid[i - 1] <= theta0 <= grid[i + 1]
-
-
-@pytest.mark.parametrize("n_points", [1000, 1500])
-def test_unthinned_density_rotation_makes_one_brent_run(monkeypatch, n_points):
-    # the coarse model is the full model: 33 mirrored passes score the grid,
-    # one pass gives the base density, and one Brent run does the rest, one
-    # pass per call of its loss
-    kde, data = _disc_rot_kde(n_points, 401)
-    passes = Counter()
-    kernel_sums = model_fit._kernel_sums
-
-    def counted_sums(model, points, want_gradient, point_weights=None):
-        passes["mirrored" if point_weights is not None else "single"] += 1
-        return kernel_sums(model, points, want_gradient, point_weights)
-
-    brent_calls = []
-
-    def counted_brent(loss, a, b, xatol):
-        brent_calls.append(0)
-
-        def counted_loss(t):
-            brent_calls[-1] += 1
-            return loss(t)
-
-        return _brent(counted_loss, a, b, xatol)
-
-    monkeypatch.setattr(model_fit, "_kernel_sums", counted_sums)
-    monkeypatch.setattr(discrete, "_brent", counted_brent)
-    fit_density_rotation(kde, data, np.pi / 6)
-    assert passes["mirrored"] == 33
-    [calls] = brent_calls
-    assert passes["single"] <= 1 + calls
+    monkeypatch.setattr(model_fit, "TABLE_MAX_CELLS", 1000)
+    monkeypatch.setattr(discrete, "_kde_table", traced_table)
+    exact = fit_density_rotation(kde, data, np.pi / 6)
+    assert len(peaks) == 1 and peaks[0] < 1 << 12
+    assert exact.parameters[0] == pytest.approx(
+        table.parameters[0], rel=0, abs=5e-6)
+    assert exact.final_loss == pytest.approx(table.final_loss, rel=1e-7, abs=0)
+    assert exact.excluded_region_active == table.excluded_region_active
 
 
 def test_density_rotation_flags_both_ends_of_the_excluded_region():

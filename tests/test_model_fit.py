@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +11,16 @@ from symfield.features import FeatureAtom, monomial_basis, trig_extend
 from symfield import model_fit
 from symfield.model_fit import (
     KERNEL_BLOCK_ELEMENTS,
+    TABLE_MAX_CELLS,
+    TABLE_SPACING,
     EmptyLevelSetError,
     KdeModel,
     LevelSetModel,
     extend_degenerate_columns,
     fit_level_set,
     fit_regression,
-    _rotate,
+    _kde_table,
     kde_eval,
-    kde_eval_mirrored,
     kde_fit,
     kde_gradient,
     project_onto_affine,
@@ -294,23 +297,38 @@ def test_kde_matches_direct_pairwise_sums(queries, centers, dim):
 @pytest.mark.parametrize(
     "centers, block_elements",
     [
-        (1, KERNEL_BLOCK_ELEMENTS),  # a single centre
-        (1000, KERNEL_BLOCK_ELEMENTS),  # blocks of 65 rows: 1000 = 15 * 65 + 25
-        (300, 256),  # more centres than one block holds: blocks of one row
+        (1, KERNEL_BLOCK_ELEMENTS),  # a lone Gaussian, the hardest to interpolate
+        (1000, KERNEL_BLOCK_ELEMENTS),  # blocks of 216 centres: 1000 = 4 * 216 + 136
+        (300, 4096),  # blocks of 13 centres: 300 = 23 * 13 + 1
     ],
 )
-@pytest.mark.parametrize("theta", [0.3, 2 * np.pi / 7, 3.0])
-def test_kde_mirrored_pass_matches_two_evaluations(
-        monkeypatch, centers, block_elements, theta):
+def test_kde_table_matches_kde_eval_at_nodes_and_midpoints(
+        monkeypatch, centers, block_elements):
+    # at a node the interpolant is the tabulated density, which differs from
+    # kde_eval only by rounding; at the middle of a cell Catmull-Rom at
+    # TABLE_SPACING = h / 20 is within 8.8e-7 of the peak for a lone Gaussian
+    # (3.4e-7 on the benchmark's disc-rot density)
     monkeypatch.setattr(model_fit, "KERNEL_BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(centers)
     model = KdeModel(rng.standard_normal((centers, 2)) * [1.5, 0.7] + 0.5,
                      rng.uniform(0.1, 1.0, centers), 0.4)
-    ahead, behind = kde_eval_mirrored(model, theta)
-    np.testing.assert_allclose(
-        ahead, kde_eval(model, _rotate(model.centers, theta)), rtol=1e-12)
-    np.testing.assert_allclose(
-        behind, kde_eval(model, _rotate(model.centers, -theta)), rtol=1e-12)
+    radius = 3.0
+    density = _kde_table(model, radius)
+    step = TABLE_SPACING * model.bandwidth
+    nodes = -radius + step * np.arange(math.ceil(2 * radius / step) + 1)
+    peak = kde_eval(model, model.centers).max()
+    for axis, atol in ((nodes, 1e-13), (nodes[:-1] + step / 2, 2e-6)):
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        np.testing.assert_allclose(density(points), kde_eval(model, points),
+                                   rtol=0, atol=atol * peak)
+
+
+def test_kde_table_refuses_too_many_cells_or_an_infinite_extent():
+    model = KdeModel(np.zeros((1, 2)), np.ones(1), 0.4)
+    side = math.isqrt(TABLE_MAX_CELLS) * TABLE_SPACING * model.bandwidth
+    assert _kde_table(model, 0.49 * side) is not None
+    for radius in (0.51 * side, np.inf, np.nan):
+        assert _kde_table(model, radius) is None
 
 
 def dyadic(x):
@@ -397,3 +415,19 @@ def test_kde_rejects_bad_weights():
     for bad in (np.nan, np.inf):  # NaN passes "< 0" and "sum <= 0"
         with pytest.raises(ValueError, match="finite"):
             KdeModel(data, np.array([1.0, bad, 0.0]), 0.5)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-300, 1e-160, 1e155, 1e300, 0.0, -1.0,
+                                       np.nan, np.inf])
+def test_kde_refuses_a_bandwidth_whose_square_is_not_a_finite_normal_number(
+        bandwidth):
+    # 1e-160 and 1e-300 gave a model whose density was nan everywhere, and
+    # 1e300 raised OverflowError in the kernel sums
+    with pytest.raises(ValueError, match="bandwidth"):
+        kde_fit(np.zeros((3, 2)), bandwidth=bandwidth)
+
+
+def test_kde_takes_a_bandwidth_whose_square_is_normal():
+    for bandwidth in (1e-150, 1e150):
+        model = kde_fit(np.zeros((3, 2)), bandwidth=bandwidth)
+        assert np.isfinite(kde_eval(model, np.zeros((1, 2)))).all()

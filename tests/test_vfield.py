@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import symfield as sf
 from conftest import poly_field, poly_model, rotation_field_2d
 from symfield import vfield
-from symfield.features import FeatureAtom, monomial_basis, trig_extend
+from symfield.features import FeatureAtom, FeatureBasis, monomial_basis, trig_extend
 from symfield.vfield import (
     BasisVectorField,
     FlowDivergedError,
@@ -353,6 +355,25 @@ def test_polynomial_flow_never_builds_a_design_matrix(monkeypatch):
     trig = VectorFieldModel(trig_extend(monomial_basis(2, 0)), np.ones(10))
     with pytest.raises(AssertionError):
         flow_integrate(trig, [0.1, 0.2], 0.5, 10)
+
+
+def test_velocity_tabulates_only_the_exponents_that_occur():
+    # the table of powers had one row per exponent up to the largest, so
+    # x1^100000000 allocated (10^8 + 1) x 2 doubles; its rows are now the
+    # three distinct exponents 0, 1 and 10^8
+    atoms = [FeatureAtom("monomial", exponents=(10**8, 0)),
+             FeatureAtom("monomial", exponents=(0, 1))]
+    X = BasisVectorField([sf.ScalarFunctionModel(FeatureBasis(2, (a,)), [1.0])
+                          for a in atoms])
+    tracemalloc.start()
+    try:
+        velocity = vfield._velocity(X)
+        value = velocity(np.array([1.0, 0.5]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.tolist() == [1.0, 0.5]
+    assert peak < 1 << 16
 
 
 # --- restricted basis search ------------------------------------------------
