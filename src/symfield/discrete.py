@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -390,9 +390,10 @@ def fit_density_rotation(
     residual of p on rotation_family(theta_min, 2 pi - theta_min), with
     fit_discrete's search and boundary flag.  Rotations keep |x|, so p is
     read from a table over the disc of radius max |x_i| (model_fit's
-    _kde_table), or is kde_eval itself when that table would be too large
-    or the radius is not finite.  final_loss is the exact loss at the
-    chosen angle, from one kde_eval of the data and one of its turn.
+    _kde_table), and final_loss is the exact loss at the chosen angle, from
+    one kde_eval of the data and one of its turn.  Data whose radius is not
+    finite raise FloatingPointError: kde_eval there is NaN or 0 at every
+    angle.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:
@@ -402,9 +403,12 @@ def fit_density_rotation(
     # the excluded region around the identity is symmetric: angles within
     # theta_min of a full turn are just as trivial as small ones
     family = rotation_family(theta_min, 2.0 * np.pi - theta_min)
-    density = (_kde_table(kde, float(np.max(np.hypot(data[:, 0], data[:, 1]))))
-               or partial(kde_eval, kde))
-    fit = fit_discrete(density, data, family, OptimizerConfig(loss="mean-absolute"))
+    with np.errstate(over="ignore"):
+        radius = float(np.max(np.hypot(data[:, 0], data[:, 1])))
+    if not np.isfinite(radius):
+        raise FloatingPointError("the data's distance from the origin is not finite")
+    fit = fit_discrete(_kde_table(kde, radius), data, family,
+                       OptimizerConfig(loss="mean-absolute"))
     turned = data @ family.matrix(fit.parameters).T
     fit.final_loss = float(np.mean(np.abs(kde_eval(kde, turned) - kde_eval(kde, data))))
     return fit

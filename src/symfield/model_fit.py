@@ -51,7 +51,11 @@ KERNEL_BLOCK_ELEMENTS = 1 << 16
 # disc-rot fits (5.4e-6 at h/16, 2.5e-5 at h/10)
 TABLE_SPACING = 1.0 / 20.0
 # _kde_table's most cells, a 17 MB table: room for criterion 6's N = 20000
-# fits, which need 0.74 and 1.07 million cells at seeds 3 and 401
+# fits, which need 0.74 and 1.07 million cells at seeds 3 and 401.  Past it
+# the nodes spread wider rather than the fit reading kde_eval, whose search
+# took 184 s on the seed-3 fit against 3.2 s on the table (2-core VM).  At
+# 300 cells a side (nodes h / 11 to h / 13 apart), the disc-rot fits at
+# N = 1000 and 1500 keep their angles to 3.9e-6
 TABLE_MAX_CELLS = 1 << 21
 
 
@@ -393,8 +397,9 @@ def kde_gradient(model: KdeModel, points: np.ndarray) -> np.ndarray:
 def _kde_table(model: KdeModel, radius: float):
     """points -> density of a planar model on the square |x|, |y| <= radius,
     read by Catmull-Rom interpolation (Keys 1981) from a table of the exact
-    density at nodes TABLE_SPACING bandwidths apart, or None when the table
-    would need more than TABLE_MAX_CELLS cells or radius is not finite.
+    density at nodes TABLE_SPACING bandwidths apart; where that would need
+    more than TABLE_MAX_CELLS cells, the nodes spread wider,
+    isqrt(TABLE_MAX_CELLS) cells a side.  radius must be finite.
 
     The nodes span the square and one node past each edge for the
     interpolation stencil.  The Gaussian kernel is separable, so the table
@@ -402,12 +407,9 @@ def _kde_table(model: KdeModel, radius: float):
     of centres in one reused buffer: 2 nodes x centres exponentials, where
     kde_eval on the nodes takes nodes^2 x centres.
     """
-    step = TABLE_SPACING * model.bandwidth
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = np.ceil(2.0 * radius / step)
-    if not cells <= math.isqrt(TABLE_MAX_CELLS):  # also when radius is inf or nan
-        return None
-    cells = max(int(cells), 1)
+    side = math.isqrt(TABLE_MAX_CELLS)
+    step = max(TABLE_SPACING * model.bandwidth, radius / (side / 2))
+    cells = min(max(math.ceil(radius / step * 2), 1), side)
     nodes = -radius + step * np.arange(-1, cells + 2)
     table = np.zeros((len(nodes), len(nodes)))
     rows = max(1, KERNEL_BLOCK_ELEMENTS // len(nodes))
@@ -417,8 +419,9 @@ def _kde_table(model: KdeModel, radius: float):
         kx, ky = buf[:, : len(c)]
         for k, axis in ((kx, 0), (ky, 1)):
             np.subtract(nodes, c[:, axis, None], out=k)
-            k /= model.bandwidth
-            np.exp(-0.5 * k * k, out=k)
+            with np.errstate(over="ignore"):  # a far node's kernel is exp(-inf) = 0
+                k /= model.bandwidth
+                np.exp(-0.5 * k * k, out=k)
         kx *= model.weights[lo:lo + rows, None]
         table += kx.T @ ky
     table /= _kde_norm(model)

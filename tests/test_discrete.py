@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -188,13 +187,14 @@ def _disc_rot_kde(n_points, seed):
 
 @pytest.mark.parametrize("n_points,seed,max_cells", [
     *((n, seed, None) for n in (1000, 1500) for seed in (401, 11, 977)),
-    (1500, 977, 0),
+    (1500, 977, 300**2),
 ])
 def test_density_rotation_matches_one_angle_per_pass(
         monkeypatch, n_points, seed, max_cells):
-    # the benchmark's disc-rot inputs, read from the table (max_cells None,
-    # the module's cap) or, with no table allowed, from kde_eval itself: the
-    # angle agrees with the reference's xatol, and the loss is exact
+    # the benchmark's disc-rot inputs, read from the table at the module's
+    # cap (max_cells None) or at a cap below the h / 20 node rule's 515**2
+    # cells, where 300 cells a side put the nodes h / 11.7 apart: the angle
+    # agrees with the reference's xatol, and the loss is exact
     if max_cells is not None:
         monkeypatch.setattr(model_fit, "TABLE_MAX_CELLS", max_cells)
     kde, data = _disc_rot_kde(n_points, seed)
@@ -202,32 +202,6 @@ def test_density_rotation_matches_one_angle_per_pass(
     result = fit_density_rotation(kde, data, np.pi / 6)
     assert result.parameters[0] == pytest.approx(theta, rel=0, abs=1e-5)
     assert result.final_loss == pytest.approx(loss, rel=1e-7, abs=0)
-
-
-def test_density_rotation_without_a_table_matches_the_table(monkeypatch):
-    # with a cell cap below the node rule's count no table is built, and the
-    # fit reads kde_eval itself; the table's angle lies within 1.9e-6 of the
-    # exact loss's optimum on the benchmark's 12 disc-rot fits
-    kde, data = _disc_rot_kde(1000, 401)
-    table = fit_density_rotation(kde, data, np.pi / 6)
-    peaks = []
-
-    def traced_table(model, radius):
-        tracemalloc.start()
-        try:
-            assert model_fit._kde_table(model, radius) is None
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-
-    monkeypatch.setattr(model_fit, "TABLE_MAX_CELLS", 1000)
-    monkeypatch.setattr(discrete, "_kde_table", traced_table)
-    exact = fit_density_rotation(kde, data, np.pi / 6)
-    assert len(peaks) == 1 and peaks[0] < 1 << 12
-    assert exact.parameters[0] == pytest.approx(
-        table.parameters[0], rel=0, abs=5e-6)
-    assert exact.final_loss == pytest.approx(table.final_loss, rel=1e-7, abs=0)
-    assert exact.excluded_region_active == table.excluded_region_active
 
 
 def test_density_rotation_flags_both_ends_of_the_excluded_region():
@@ -241,6 +215,14 @@ def test_density_rotation_flags_both_ends_of_the_excluded_region():
         result = fit_density_rotation(kde_fit(points), points, np.pi / 6)
         assert result.parameters[0] == pytest.approx(end, abs=1e-4)
         assert result.excluded_region_active
+
+
+def test_density_rotation_refuses_data_whose_radius_overflows():
+    # |x| of (1.5e308, 1.5e308) is inf, and kde_eval there is NaN, which no
+    # angle search can rank
+    data = np.random.default_rng(0).standard_normal((12, 2))
+    with pytest.raises(FloatingPointError, match="not finite"):
+        fit_density_rotation(kde_fit(data), 1.5e308 * np.sign(data), 0.5)
 
 
 def test_rotation_generator_and_similarity():

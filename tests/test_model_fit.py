@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from symfield.features import FeatureAtom, monomial_basis, trig_extend
 from symfield import model_fit
 from symfield.model_fit import (
     KERNEL_BLOCK_ELEMENTS,
-    TABLE_MAX_CELLS,
     TABLE_SPACING,
     EmptyLevelSetError,
     KdeModel,
@@ -323,12 +323,25 @@ def test_kde_table_matches_kde_eval_at_nodes_and_midpoints(
                                    rtol=0, atol=atol * peak)
 
 
-def test_kde_table_refuses_too_many_cells_or_an_infinite_extent():
+def test_kde_table_spreads_its_nodes_past_the_cap(monkeypatch):
+    # at h / 20 a radius of 30 bandwidths takes 1200**2 cells (11.6 MB); under
+    # a cap of 100**2 the table is 103**2 doubles (85 KB, and one product of
+    # that size while it is summed), still exact at its nodes, now 0.6
+    # bandwidths apart
+    monkeypatch.setattr(model_fit, "TABLE_MAX_CELLS", 100**2)
     model = KdeModel(np.zeros((1, 2)), np.ones(1), 0.4)
-    side = math.isqrt(TABLE_MAX_CELLS) * TABLE_SPACING * model.bandwidth
-    assert _kde_table(model, 0.49 * side) is not None
-    for radius in (0.51 * side, np.inf, np.nan):
-        assert _kde_table(model, radius) is None
+    radius = 30 * model.bandwidth
+    tracemalloc.start()
+    try:
+        density = _kde_table(model, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+    axis = np.linspace(-radius, radius, 101)
+    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    np.testing.assert_allclose(density(points), kde_eval(model, points),
+                               rtol=0, atol=1e-13 * kde_eval(model, np.zeros((1, 2)))[0])
 
 
 def dyadic(x):
