@@ -105,14 +105,6 @@ def name_value(text: str) -> tuple[str, float]:
     return name, float(value)
 
 
-def _write_columns(path: str, columns: list, header: list[str]) -> None:
-    """The columns as one CSV; a model value that overflowed is refused."""
-    table = np.column_stack(columns)
-    if not np.all(np.isfinite(table)):
-        raise ValueError(f"refusing to write non-finite values to {path!r}")
-    _write_table(path, table, header)
-
-
 def cmd_gen(args) -> None:
     spec = datasets.GeneratorSpec(
         args.name, args.size, _effective_seed(args), dict(args.param or [])
@@ -131,7 +123,7 @@ def cmd_fit_fn(args) -> None:
     )
     out = model_to_dict(model)
     out["residual"] = model.residual
-    out["ridge_fallback"] = model.ridge_fallback
+    out["rank_deficient"] = model.rank_deficient
     save_json(out, args.out)
 
 
@@ -335,7 +327,7 @@ def cmd_transform(args) -> None:
         header.append("theta")
     if not columns:
         raise ValueError("transform needs invariants, --flow-param, or --angle")
-    _write_columns(args.out, columns, header)
+    _write_table(args.out, np.column_stack(columns), header)
 
 
 def cmd_grid(args) -> None:
@@ -356,7 +348,7 @@ def cmd_grid(args) -> None:
     k = values.shape[1]
     header = [f"x{i + 1}" for i in range(points.shape[1])] + (
         ["value"] if k == 1 else [f"value{j + 1}" for j in range(k)])
-    _write_columns(args.out, [points, values], header)
+    _write_table(args.out, np.column_stack([points, values]), header)
 
 
 def _add_common(p, seed=True, opt=True):

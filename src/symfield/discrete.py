@@ -392,8 +392,8 @@ def fit_density_rotation(
     read from a table over the disc of radius max |x_i| (model_fit's
     _kde_table), and final_loss is the exact loss at the chosen angle, from
     one kde_eval of the data and one of its turn.  Data whose radius is not
-    finite raise FloatingPointError: kde_eval there is NaN or 0 at every
-    angle.
+    finite, or whose density and turned density are 0 everywhere, raise
+    FloatingPointError: no angle is singled out.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:
@@ -410,7 +410,11 @@ def fit_density_rotation(
     fit = fit_discrete(_kde_table(kde, radius), data, family,
                        OptimizerConfig(loss="mean-absolute"))
     turned = data @ family.matrix(fit.parameters).T
-    fit.final_loss = float(np.mean(np.abs(kde_eval(kde, turned) - kde_eval(kde, data))))
+    at_turned, at_data = kde_eval(kde, turned), kde_eval(kde, data)
+    if not (np.any(at_turned) or np.any(at_data)):
+        raise FloatingPointError("the density is 0 at the data and their turn: "
+                                 "no angle is singled out")
+    fit.final_loss = float(np.mean(np.abs(at_turned - at_data)))
     return fit
 
 

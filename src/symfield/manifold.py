@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 ORTHONORMALITY_TOL = 1e-8
+# least squares drops sigma < LSTSQ_RCOND sigma_max: cond(A^T A) > 1e14 on A
+LSTSQ_RCOND = 1e-7
 
 
 class RetractionSingularError(np.linalg.LinAlgError):
@@ -187,18 +189,18 @@ def minimize(
     return W, trace
 
 
-def minimize_affine_target(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unconstrained least squares A w ~ b (normal equations, ridge fallback)."""
+def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(w, rank): the minimum-norm least-squares solution of A w ~ b by SVD,
+    with singular values below LSTSQ_RCOND times the largest dropped."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    # checked first: LAPACK prints to stderr on a non-finite matrix
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise ValueError("inputs must be finite")
-    gram = A.T @ A
-    rhs = A.T @ b
-    try:
-        if 1.0 / np.linalg.cond(gram) < 1e-12:
-            raise np.linalg.LinAlgError("ill conditioned")
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        # minimum-norm solution for rank-deficient systems
-        return np.linalg.lstsq(A, b, rcond=None)[0]
+        raise ValueError("least-squares inputs must be finite")
+    w, _, rank, _ = np.linalg.lstsq(A, b, rcond=LSTSQ_RCOND)
+    return w, int(rank)
+
+
+def minimize_affine_target(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unconstrained least squares A w ~ b: _lstsq's minimum-norm solution."""
+    return _lstsq(A, b)[0]

@@ -1,11 +1,11 @@
 """Estimation of machine-learning functions from tabular data.
 
-Covers polynomial/trig regression of targets, constrained level-set
-estimation with elbow-based component selection, the two degeneracy
-workarounds (projection onto discovered affine components, artificial
-column extension), and weighted Gaussian kernel density estimation: exact
-densities and analytic gradients from cache-blocked kernel sums, and a
-planar density tabulated once and read by bicubic interpolation.
+Covers polynomial/trig regression of targets by one SVD least-squares
+solve, level-set estimation with elbow-based component selection, the two
+degeneracy workarounds (projection onto discovered affine components,
+artificial column extension), and weighted Gaussian kernel density
+estimation: exact densities and analytic gradients from cache-blocked kernel
+sums, and a planar density tabulated once and read by bicubic interpolation.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class ScalarFunctionModel:
     basis: FeatureBasis
     coefficients: np.ndarray
     residual: float = 0.0
-    ridge_fallback: bool = False
+    rank_deficient: bool = False
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
@@ -123,13 +123,14 @@ class LevelSetModel:
         return np.einsum("mk,imj->ikj", self.W, J)
 
     def strip_artificial(self) -> "LevelSetModel":
-        """Drop artificially extended columns and renormalize each column."""
+        """Drop the artificial atoms' rows of W and orthonormalize the rest by
+        QR, which keeps their span and so the level set W^T b(x) = 0.  Kept
+        rows of lower rank, as when a column lay wholly on artificial atoms,
+        raise manifold.RetractionSingularError."""
         keep = [i for i, a in enumerate(self.basis.atoms) if not a.artificial]
         W = self.W[keep]
-        W = W / np.linalg.norm(W, axis=0, keepdims=True)
-        # renormalized columns may no longer be mutually orthonormal; keep
-        # them only when they are
-        return LevelSetModel(self.basis.strip_artificial(), W)
+        return LevelSetModel(self.basis.strip_artificial(),
+                             manifold.retract(np.zeros_like(W), W))
 
 
 @dataclass
@@ -149,25 +150,15 @@ class ElbowTrace:
 def fit_regression(
     data: np.ndarray, targets: np.ndarray, basis: FeatureBasis
 ) -> ScalarFunctionModel:
-    """Ordinary least squares of targets over the feature dictionary."""
+    """Least squares of targets over the feature dictionary: the minimum-norm
+    SVD solution, rank_deficient when it dropped a direction of the design
+    matrix (a singular value below manifold.LSTSQ_RCOND times the largest)."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    targets = np.asarray(targets, dtype=float)
     B = design_matrix(basis, data)
-    gram = B.T @ B
-    rhs = B.T @ targets
-    ridge = False
-    try:
-        with np.errstate(all="ignore"):
-            cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise np.linalg.LinAlgError("rank deficient")
-        coeffs = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        lam = 1e-10 * (np.trace(gram) / len(basis) + 1.0)
-        coeffs = np.linalg.solve(gram + lam * np.eye(len(basis)), rhs)
-        ridge = True
+    coeffs, rank = manifold._lstsq(B, targets)
     resid = float(np.sqrt(np.mean((B @ coeffs - targets) ** 2)))
-    return ScalarFunctionModel(basis, coeffs, residual=resid, ridge_fallback=ridge)
+    return ScalarFunctionModel(basis, coeffs, residual=resid,
+                               rank_deficient=rank < len(basis))
 
 
 def fit_level_set(
@@ -243,15 +234,16 @@ def project_onto_affine(
     if C.shape[0] == 0:
         return data.copy(), AffineFrame(np.zeros(n), np.eye(n))
 
-    origin, residual, rank, _ = np.linalg.lstsq(C, -d, rcond=None)
+    U, s, Vt = np.linalg.svd(C)
+    tol = max(C.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank = int(np.sum(s > tol))
+    origin = Vt[:rank].T @ ((U[:, :rank].T @ -d) / s[:rank])  # pseudo-inverse
     if np.linalg.norm(C @ origin + d) > 1e-8 * max(1.0, np.linalg.norm(d)):
         raise EmptyLevelSetError("affine components are inconsistent")
 
     # null-space basis oriented along the coordinate axes where possible:
     # Gram-Schmidt of the projected axes keeps e.g. the (x, y) plane as (x, y)
-    _, s, Vt = np.linalg.svd(C)
-    tol = max(C.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    null = Vt[np.sum(s > tol):].T
+    null = Vt[rank:].T
     proj = null @ null.T
     axes = []
     for j in range(n):
@@ -372,6 +364,10 @@ def _kernel_sums(
         vals[blk] = v = K @ model.weights
         if want_gradient:
             grads[blk] = (K @ wC - v[:, None] * P[blk]) / h2
+    # a point or centre too many bandwidths out overflows the exponent
+    if not (np.all(np.isfinite(vals)) and (grads is None or np.all(np.isfinite(grads)))):
+        raise FloatingPointError("kernel sums overflowed: points or centres lie "
+                                 "too many bandwidths apart")
     return vals, grads
 
 

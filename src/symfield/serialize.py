@@ -213,6 +213,9 @@ def _write_table(path: str, table: np.ndarray, header: list[str]) -> None:
     table = np.atleast_2d(np.asarray(table, dtype=float))
     if table.shape[1] != len(header):
         raise ValueError("header length does not match column count")
+    # _read_table refuses such a cell, so none is written
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"refusing to write non-finite values to {path!r}")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in table:

@@ -67,6 +67,33 @@ def test_fit_fn_reproduces_polynomial(tmp_path):
     assert load_json(str(model_json))["residual"] <= 1e-10
 
 
+def test_fit_fn_on_an_overflowing_design_exits_2_without_lapack_noise(
+        tmp_path, monkeypatch, capfd):
+    # x^2 of 1e300 overflows the degree-2 design; LAPACK's least squares on
+    # it prints "On entry to DLASCL ..." to the process's stderr, so the
+    # finiteness check comes first
+    monkeypatch.chdir(tmp_path)
+    data = np.random.default_rng(0).standard_normal((20, 2))
+    write_csv("huge.csv", 1e300 * np.sign(data), data[:, 0])
+    with np.errstate(all="ignore"):
+        assert run("fit-fn", "--data", "huge.csv", "--degree", "2", "--out", "f.json") == 2
+    assert not (tmp_path / "f.json").exists()
+    out, err = capfd.readouterr()
+    assert "must be finite" in err
+    assert "DLASCL" not in out + err
+
+
+def test_fit_fn_reports_a_rank_deficient_design(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    t = np.linspace(0, 1, 40)
+    write_csv("line.csv", np.column_stack([t, 2 * t]), t)  # y = 2x
+    assert run("fit-fn", "--data", "line.csv", "--degree", "1", "--out", "f.json") == 0
+    assert load_json("f.json")["rank_deficient"] is True
+    write_csv("curve.csv", np.column_stack([t, t**2]), t)  # y = x^2
+    assert run("fit-fn", "--data", "curve.csv", "--degree", "1", "--out", "f.json") == 0
+    assert load_json("f.json")["rank_deficient"] is False
+
+
 def test_pipeline_recovers_annihilating_field(tmp_path):
     data_csv = tmp_path / "gq.csv"
     run("gen", "--name", "gaussian-quadratic", "--size", "2000",
@@ -145,6 +172,23 @@ def test_fit_levelset_extend_columns(tmp_path):
     stripped = load_model(str(out_dir / "model.json"))
     assert len(full.basis) > len(stripped.basis)
     assert not any(a.artificial for a in stripped.basis.atoms)
+
+
+@pytest.mark.parametrize("k", [["--k", "2"], ["--k", "3"], []])
+def test_fit_levelset_extend_columns_keeps_several_columns(tmp_path, monkeypatch, k):
+    # the stripped columns were renormalized one by one, at an angle to each
+    # other, and the model was refused as not orthonormal (exit 2)
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--name", "circle3d", "--size", "300", "--seed", "0",
+               "--out", "c.csv") == 0
+    save_model(poly_model(monomial_basis(3, 1), {(0, 0, 1): 1.0}), "z.json")
+    assert run("fit-levelset", "--data", "c.csv", "--strategy", "extend-columns",
+               "--known", "z.json", "--degree", "2", *k,
+               "--opt-config", opt_config_file(tmp_path), "--out", "ext") == 0
+    full, stripped = load_model("ext/model_full.json"), load_model("ext/model.json")
+    W = stripped.W
+    assert W.shape[1] == full.W.shape[1] >= 2
+    assert np.abs(W.T @ W - np.eye(W.shape[1])).max() <= 1e-12
 
 
 def test_flow_quarter_turn(tmp_path):
@@ -570,6 +614,17 @@ def test_grid_resolution_below_one_fails(tmp_path):
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_grid_refuses_values_that_overflow(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "m.json")
+    with np.errstate(over="ignore"):
+        assert run("grid", "--model", "m.json", "--lower", "0,0",
+                   "--upper", "1e300,1e300", "--resolution", "2",
+                   "--out", "g.csv") == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_cli_import_does_not_load_scipy_optimize():
     """No stage needs scipy: a fresh interpreter that imports the CLI and
     fits a discrete symmetry and a density rotation never loads it."""
@@ -760,9 +815,10 @@ def test_non_finite_numbers_fail(tmp_path, monkeypatch, command):
     save_model(sf.kde_fit(data), "nan_kde.json")
     sidecar = tmp_path / "nan_kde.centers.csv"
     sidecar.write_text(sidecar.read_text().replace(repr(float(data[3, 1])), "nan"))
+    # write_csv refuses a non-finite cell, so each bad file is edited text
     for bad in ("nan", "inf"):
-        data[3, 1] = float(bad)
-        write_csv(f"{bad}.csv", data)
+        (tmp_path / f"{bad}.csv").write_text(
+            (tmp_path / "d.csv").read_text().replace(repr(float(data[3, 1])), bad))
     assert run(*command, "--out", "out.json") == 2
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "out.centers.csv").exists()

@@ -225,6 +225,15 @@ def test_density_rotation_refuses_data_whose_radius_overflows():
         fit_density_rotation(kde_fit(data), 1.5e308 * np.sign(data), 0.5)
 
 
+def test_density_rotation_refuses_a_density_that_is_zero_everywhere():
+    # points at +-1e300 lie where the density of standard-normal centres is
+    # 0, so is every turn of them, and every angle had loss 0
+    data = np.random.default_rng(0).standard_normal((12, 2))
+    kde = model_fit.KdeModel(data, np.ones(12), 0.5)
+    with pytest.raises(FloatingPointError, match="no angle is singled out"):
+        fit_density_rotation(kde, 1e300 * np.sign(data), 0.5)
+
+
 def test_rotation_generator_and_similarity():
     theta = 2 * np.pi / 7
     assert similarity_matrix(theta, ROTATION_REFERENCE) == pytest.approx(1.0)

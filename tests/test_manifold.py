@@ -231,6 +231,19 @@ def test_affine_target_exact():
     assert np.allclose(minimize_affine_target(A, A @ w), w, atol=1e-10)
 
 
+@pytest.mark.parametrize("ratio, kept", [(1e-9, False), (1e-6, True)])
+def test_affine_target_drops_a_direction_below_the_rank_cut_off(ratio, kept):
+    # a direction whose singular value is 1e-9 of the largest is dropped,
+    # leaving w's part along the leading direction; one at 1e-6 is kept
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.standard_normal((30, 2)))[0]
+    V = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    A = U @ np.diag([1.0, ratio]) @ V.T
+    w = np.array([1.0, -2.0])
+    want = w if kept else V[:, 0] * (V[:, 0] @ w)
+    assert np.allclose(minimize_affine_target(A, A @ w), want, rtol=0, atol=1e-8)
+
+
 def test_affine_target_rank_deficient_min_norm():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     w = minimize_affine_target(A, np.array([2.0, 4.0]))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import symfield as sf
 from conftest import poly_model
-from symfield.features import FeatureAtom, monomial_basis, trig_extend
+from symfield.features import FeatureAtom, design_matrix, monomial_basis, trig_extend
 from symfield import model_fit
+from symfield.manifold import LSTSQ_RCOND, RetractionSingularError
 from symfield.model_fit import (
     KERNEL_BLOCK_ELEMENTS,
     TABLE_SPACING,
@@ -41,7 +42,7 @@ def test_regression_expanded_quadratic():
         model.coefficients, [5.0, -2.0, -8.0, 1.0, 0.0, 4.0], atol=1e-6
     )
     assert model.residual <= 1e-8
-    assert not model.ridge_fallback
+    assert not model.rank_deficient
 
 
 def test_regression_constant_targets():
@@ -64,8 +65,41 @@ def test_regression_ridge_fallback_on_collinear_features():
     t = np.linspace(0, 1, 40)
     data = np.column_stack([t, 2 * t])  # y = 2x makes features collinear
     model = fit_regression(data, t, monomial_basis(2, 1))
-    assert model.ridge_fallback
+    assert model.rank_deficient
     assert np.all(np.isfinite(model.coefficients))
+
+
+def _spectrum_design(s, rows=60, seed=0):
+    """rows x len(s) matrix U diag(s) V^T with seeded orthonormal U and V."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((rows, len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((len(s), len(s))))[0]
+    return U @ np.diag(s) @ V.T
+
+
+@pytest.mark.parametrize("ratio, flagged", [(0.9 * LSTSQ_RCOND, True),
+                                             (1.1 * LSTSQ_RCOND, False)])
+def test_rank_deficient_fires_only_below_the_cut_off(ratio, flagged):
+    data = _spectrum_design([1.0, 0.5, ratio])
+    basis = monomial_basis(3, 1, include_constant=False)
+    assert np.array_equal(design_matrix(basis, data), data)  # B is the data
+    model = fit_regression(data, data @ [1.0, -2.0, 3.0], basis)
+    assert model.rank_deficient == flagged
+
+
+def test_rank_deficient_regression_is_the_pseudo_inverse_solution():
+    # the collinear design above, with targets off its column space: the
+    # minimum-norm least-squares solution, not a ridge
+    t = np.linspace(0, 1, 40)
+    data = np.column_stack([t, 2 * t])
+    basis = monomial_basis(2, 1)
+    y = np.sin(3 * t)
+    model = fit_regression(data, y, basis)
+    B = design_matrix(basis, data)
+    assert model.rank_deficient
+    assert np.allclose(model.coefficients, np.linalg.pinv(B) @ y, rtol=0, atol=1e-12)
+    assert model.residual == pytest.approx(
+        np.sqrt(np.mean((B @ np.linalg.pinv(B) @ y - y) ** 2)), rel=1e-12)
 
 
 def test_model_gradient():
@@ -226,6 +260,40 @@ def test_strip_artificial_model():
     stripped = LevelSetModel(extended, w).strip_artificial()
     assert all(not a.artificial for a in stripped.basis.atoms)
     assert np.linalg.norm(stripped.W[:, 0]) == pytest.approx(1.0)
+
+
+def _fit_extended_circle3d(k):
+    """circle3d (z = 1) with the known function z: a degree-2 level set over
+    the basis extended by x z, y z and z^2, and the rows kept by stripping."""
+    data, _ = sf.generate(sf.GeneratorSpec("circle3d", 300, 0))
+    known = poly_model(monomial_basis(3, 1), {(0, 0, 1): 1.0})
+    basis = extend_degenerate_columns(monomial_basis(3, 2), [known], 2)
+    model, _ = fit_level_set(data, basis, k, MSE())
+    keep = [i for i, a in enumerate(basis.atoms) if not a.artificial]
+    return model, model.W[keep]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_strip_artificial_orthonormalizes_and_keeps_the_level_set(k):
+    model, kept = _fit_extended_circle3d(k)
+    renormalized = kept / np.linalg.norm(kept, axis=0)
+    # renormalizing each column alone left them at an angle
+    assert np.abs(renormalized.T @ renormalized - np.eye(k)).max() > 1e-3
+    stripped = model.strip_artificial()
+    assert not any(a.artificial for a in stripped.basis.atoms)
+    assert np.abs(stripped.W.T @ stripped.W - np.eye(k)).max() <= 1e-12
+    # the same column span, so the same level set W^T b(x) = 0
+    assert np.allclose(stripped.W @ (stripped.W.T @ kept), kept, rtol=0, atol=1e-12)
+
+
+def test_strip_artificial_refuses_a_column_wholly_on_artificial_atoms():
+    basis = monomial_basis(2, 1)
+    extended = extend_degenerate_columns(basis, [poly_model(basis, {(1, 0): 1.0})], 2)
+    w = np.zeros((len(extended), 2))
+    w[2, 0] = 1.0
+    w[len(basis), 1] = 1.0  # the second column is x * f alone
+    with pytest.raises(RetractionSingularError):
+        LevelSetModel(extended, w).strip_artificial()
 
 
 # --- kernel density estimation ---------------------------------------------
@@ -438,6 +506,18 @@ def test_kde_refuses_a_bandwidth_whose_square_is_not_a_finite_normal_number(
     # 1e300 raised OverflowError in the kernel sums
     with pytest.raises(ValueError, match="bandwidth"):
         kde_fit(np.zeros((3, 2)), bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("centre_scale, query_scale", [(1e155, None), (1e100, 1e300)])
+def test_kernel_sums_refuse_an_exponent_that_overflows(centre_scale, query_scale):
+    # |c|^2 / (2 h^2) past the float range, or p . c past it, made inf - inf:
+    # the density and its gradient were NaN everywhere, with no error
+    data = np.random.default_rng(0).standard_normal((12, 2))
+    model = KdeModel(centre_scale * data, np.ones(12), 1.0)
+    points = model.centers if query_scale is None else query_scale * data
+    for evaluate in (kde_eval, kde_gradient):
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            evaluate(model, points)
 
 
 def test_kde_takes_a_bandwidth_whose_square_is_normal():

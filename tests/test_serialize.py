@@ -185,3 +185,13 @@ def test_ragged_csv_rejected(tmp_path):
     path.write_text("x1,x2\n1.0,2.0\n3.0\n")
     with pytest.raises(ValueError):
         read_csv(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_csv_refuses_a_non_finite_cell_and_writes_nothing(tmp_path, bad):
+    # read_csv refuses such a cell, so writing one made an unreadable file
+    data = np.ones((3, 2))
+    data[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        write_csv(str(tmp_path / "d.csv"), data)
+    assert not (tmp_path / "d.csv").exists()
