@@ -11,7 +11,9 @@ grid, refines every grid minimum by Brent's bounded minimisation and takes
 the smallest angle of comparable refined loss; it runs along one line of
 the parameter set at a time (a coordinate of an interval family, a turn in
 one coordinate plane of a unit-norm family) and sweeps the lines until the
-parameters stop moving; it scores each line's grid in stacked calls of f,
+parameters stop moving.  The Brent runs of one line advance in lockstep, so
+each step of all of them is one set of angles, and every set of angles, the
+grid's or a step's, is scored by one blocked scorer: stacked calls of f,
 each on at most _BLOCK_POINTS transformed points.  fit_density_rotation is
 fit_discrete on a rotation family, with f an estimated density read from a
 table.
@@ -217,16 +219,19 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def _brent(loss, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """(x, loss(x)) minimizing loss on [a, b] by Brent's method (Brent 1973,
-    ch. 5): golden-section steps with parabolic interpolation.
+def _brent(a: float, b: float, xatol: float):
+    """Brent's method (Brent 1973, ch. 5) on [a, b] as a generator: it yields
+    each x whose loss it needs, takes that loss by send and returns (x, loss)
+    at the minimum it found.  Golden-section steps with parabolic
+    interpolation.
 
     Step for step the same as scipy.optimize.minimize_scalar(method="bounded")
-    with the given xatol and its default of at most 500 calls of loss.
+    with the given xatol and its default of at most 500 losses; the caller
+    decides how each loss is computed, so many runs can share calls of f.
     """
     fulc = nfc = xf = a + _GOLDEN * (b - a)
     rat = e = 0.0
-    fx = ffulc = fnfc = loss(xf)
+    fx = ffulc = fnfc = yield xf
     num = 1
     xm = 0.5 * (a + b)
     tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
@@ -252,7 +257,7 @@ def _brent(loss, a: float, b: float, xatol: float) -> tuple[float, float]:
             e = a - xf if xf >= xm else b - xf
             rat = _GOLDEN * e
         x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = loss(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -278,23 +283,45 @@ def _brent(loss, a: float, b: float, xatol: float) -> tuple[float, float]:
     return float(xf), float(fx)
 
 
-def _angle_search(loss, grid: np.ndarray, vals, xatol: float) -> float:
+def _refine(losses, brackets, xatol: float) -> list[tuple[float, float]]:
+    """(x, loss) of a _brent run in each (a, b) of brackets, the runs advanced
+    in lockstep: each round scores the next x of every run still going in
+    one call of losses, which maps an array of angles to their losses."""
+    runs = [_brent(a, b, xatol) for a, b in brackets]
+    asks = [next(run) for run in runs]
+    found = [None] * len(runs)
+    active = list(range(len(runs)))
+    while active:
+        scores = losses(np.array([asks[i] for i in active])).tolist()
+        going = []
+        for i, fx in zip(active, scores):
+            try:
+                asks[i] = runs[i].send(fx)
+                going.append(i)
+            except StopIteration as stop:
+                found[i] = stop.value
+        active = going
+    return found
+
+
+def _angle_search(losses, grid: np.ndarray, xatol: float) -> float:
     """The smallest angle whose loss is comparable to the best.
 
-    vals holds loss at each grid angle.  Every interior local minimum of the
-    grid is refined by _brent between its two neighbours.  Every multiple of
-    a generating angle is a symmetry too, so among the refined minima the
-    smallest angle whose loss is at most 2 best + sqrt(eps) (grid loss range)
-    is the generator: _brent locates an angle only to about sqrt(eps)
-    relative, so on a zero-residual family the minima's losses differ by
-    that much of the loss's scale.  With no interior local minimum the best
-    grid point, an end, is returned.
+    losses maps an array of angles to their losses; it scores the grid in
+    one call, then each round of _refine in one call.  Every interior local
+    minimum of the grid is refined by _brent between its two neighbours.
+    Every multiple of a generating angle is a symmetry too, so among the
+    refined minima the smallest angle whose loss is at most 2 best +
+    sqrt(eps) (grid loss range) is the generator: _brent locates an angle
+    only to about sqrt(eps) relative, so on a zero-residual family the
+    minima's losses differ by that much of the loss's scale.  With no
+    interior local minimum the best grid point, an end, is returned.
     """
-    candidates = [
-        _brent(loss, grid[i - 1], grid[i + 1], xatol)
-        for i in range(1, len(grid) - 1)
+    vals = losses(grid).tolist()
+    candidates = _refine(losses, [
+        (grid[i - 1], grid[i + 1]) for i in range(1, len(grid) - 1)
         if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]
-    ]
+    ], xatol)
     if not candidates:
         i = int(np.argmin(vals))
         candidates = [(float(grid[i]), vals[i])]
@@ -319,19 +346,22 @@ def fit_discrete(
     one spacing past both ends of [0, 2 pi]; with one parameter the better
     of +-e0 is taken.  Sweeps repeat until no coordinate moves by more than
     _SWEEP_TOL, at most _MAX_SWEEPS times; one line gets one search.  Each
-    grid is scored in blocks of _BLOCK_POINTS // N angles (at least one),
-    one call of f per block; a row's loss does not depend on its block.
-    Only config.loss is read.
+    set of angles a search scores, its grid or one lockstep step of its
+    Brent runs, is scored in blocks of _BLOCK_POINTS // N angles (at least
+    one), one call of f per block; a row's loss does not depend on its
+    block.  Only config.loss is read.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != family.dimension:
         raise ValueError("family dimension does not match data")
     base = f(data)
+    per_call = max(1, _BLOCK_POINTS // len(data))
 
     def losses(P):
-        return _residual_losses(f, data, base, family, P, config.loss)
+        return np.concatenate([
+            _residual_losses(f, data, base, family, P[i:i + per_call], config.loss)
+            for i in range(0, len(P), per_call)])
 
-    per_call = max(1, _BLOCK_POINTS // len(data))
     n = family.n_params
     if family.constraint == "interval":
         lo, hi = family.interval
@@ -359,11 +389,9 @@ def fit_discrete(
         for line in lines:
             if family.constraint == "unit-norm" and not p[list(line)].any():
                 continue
-            loss = lambda t: float(losses(moved(p, line, t)[None])[0])
-            rows = np.array([moved(p, line, t) for t in grid])
-            vals = np.concatenate([losses(rows[i:i + per_call])
-                                   for i in range(0, len(rows), per_call)])
-            t = _angle_search(loss, grid, vals.tolist(), _FIT_XATOL)
+            t = _angle_search(
+                lambda ts: losses(np.array([moved(p, line, t) for t in ts])),
+                grid, _FIT_XATOL)
             p = moved(p, line, t)
         if np.max(np.abs(p - start)) <= _SWEEP_TOL:
             break

@@ -9,6 +9,7 @@ so feature Jacobians never rely on finite differences.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -22,6 +23,21 @@ __all__ = [
     "design_matrix",
     "jacobian_stack",
 ]
+
+
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """x ** e for an integer e >= 0 by repeated squaring (Knuth, TAOCP vol.
+    2, 4.6.3), in place of numpy's per-element libm pow: exact for e <= 2,
+    about 2 log2(e) roundings otherwise, and inf where the power overflows.
+    e = 1 returns x itself."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return np.ones_like(x) if result is None else result
 
 
 @dataclass(frozen=True)
@@ -42,6 +58,10 @@ class FeatureAtom:
     def __post_init__(self):
         if self.kind not in ("monomial", "sin", "cos", "product"):
             raise ValueError(f"unknown atom kind {self.kind!r}")
+        # _power raises them by repeated squaring
+        if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool)
+                   for e in self.exponents):
+            raise ValueError("exponents must be integers")
         if self.kind == "monomial" and any(e < 0 for e in self.exponents):
             raise ValueError("monomial exponents must be nonnegative")
         if self.kind in ("sin", "cos") and self.axis < 0:
@@ -87,12 +107,13 @@ class FeatureAtom:
         return 0
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Atom values at an (N, n) array of points."""
+        """Atom values at an (N, n) array of points.  A monomial multiplies
+        _power(x_j, e_j) over its coordinates, left to right."""
         if self.kind == "monomial":
             out = np.ones(points.shape[0])
             for j, e in enumerate(self.exponents):
                 if e:
-                    out = out * points[:, j] ** e
+                    out = out * _power(points[:, j], e)
             return out
         if self.kind == "sin":
             return np.sin(points[:, self.axis])
@@ -116,7 +137,7 @@ class FeatureAtom:
                 for k, ek in enumerate(self.exponents):
                     p = ek - 1 if k == j else ek
                     if p:
-                        col = col * points[:, k] ** p
+                        col = col * _power(points[:, k], p)
                 out[:, j] = col
             return out
         if self.kind == "sin":

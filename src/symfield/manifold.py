@@ -112,10 +112,16 @@ def random_orthonormal(p: int, q: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _fix_column_signs(W: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
+    """Flip each column so that its first entry whose magnitude is within
+    ORTHONORMALITY_TOL (relative) of the column's largest is positive.
+
+    Taking the largest entry alone would let rounding pick the sign of a
+    column with two entries of equal magnitude, as a rotation field has.
+    """
     W = W.copy()
     for j in range(W.shape[1]):
-        k = np.argmax(np.abs(W[:, j]))
+        size = np.abs(W[:, j])
+        k = np.argmax(size >= (1.0 - ORTHONORMALITY_TOL) * size.max())
         if W[k, j] < 0:
             W[:, j] = -W[:, j]
     return W

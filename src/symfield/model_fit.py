@@ -103,6 +103,9 @@ class LevelSetModel:
         self.W = np.asarray(self.W, dtype=float)
         if self.W.ndim != 2 or self.W.shape[0] != len(self.basis):
             raise ValueError("W must be (n_atoms, k)")
+        # a NaN deviation would pass the orthonormality test below
+        if not np.all(np.isfinite(self.W)):
+            raise ValueError("W must be finite")
         if self.W.shape[1] > 0:
             err = np.abs(self.W.T @ self.W - np.eye(self.W.shape[1])).max()
             if err > manifold.ORTHONORMALITY_TOL:
@@ -423,6 +426,8 @@ def _kde_table(model: KdeModel, radius: float):
     table /= _kde_norm(model)
     flat = table.ravel()
     stencil = np.arange(-1, 3)
+    # the 4 x 4 stencil's flat offsets from its cell's low corner node
+    offsets = (stencil[:, None] * len(nodes) + stencil).ravel()
 
     def density(points):
         u = np.asarray(points, dtype=float) / step + (radius / step + 1.0)
@@ -430,8 +435,8 @@ def _kde_table(model: KdeModel, radius: float):
         t = u - k
         w = 0.5 * np.stack([((2.0 - t) * t - 1.0) * t, (3.0 * t - 5.0) * t * t + 2.0,
                             ((4.0 - 3.0 * t) * t + 1.0) * t, (t - 1.0) * t * t], -1)
-        index = ((k[:, 0, None] + stencil)[:, :, None] * len(nodes)
-                 + (k[:, 1, None] + stencil)[:, None, :])
-        return np.einsum("pa,pab,pb->p", w[:, 0], flat[index], w[:, 1])
+        corner = k[:, 0] * len(nodes) + k[:, 1]
+        values = flat.take(corner[:, None] + offsets).reshape(-1, 4, 4)
+        return np.einsum("pa,pab,pb->p", w[:, 0], values, w[:, 1])
 
     return density

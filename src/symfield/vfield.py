@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold
-from .features import FeatureBasis, design_matrix, jacobian_stack, monomial_basis
+from .features import (FeatureBasis, _power, design_matrix, jacobian_stack,
+                       monomial_basis)
 from .model_fit import KdeModel, LevelSetModel, ScalarFunctionModel, kde_gradient
 
 __all__ = [
@@ -262,10 +263,11 @@ def _velocity(field):
     BasisVectorField gives the union of its component bases, with each
     coefficient at its atom's index.  A polynomial basis evaluates its atoms
     as one product over a table of coordinate powers, one row per distinct
-    exponent; any other basis takes a design-matrix row.  Each power takes a scalar exponent and each component
-    is its own (1, m) @ (m,) product, as in FeatureAtom.values and
-    ScalarFunctionModel, so a field over one basis gives the same bits as
-    evaluating its components one by one.
+    exponent; any other basis takes a design-matrix row.  Each power is
+    features._power, the repeated squaring FeatureAtom.values uses, and each
+    component is its own (1, m) @ (m,) product, as in ScalarFunctionModel,
+    so a field over one basis gives the same bits as evaluating its
+    components one by one.
     """
     if isinstance(field, VectorFieldModel):
         basis, C = field.basis, field.blocks(0)
@@ -282,7 +284,7 @@ def _velocity(field):
     E = np.array([a.exponents for a in basis.atoms], dtype=int).reshape(
         len(basis), basis.dimension
     )
-    # powers[i, j] = y_j ** exponents[i], one row per distinct exponent;
+    # powers[i, j] = y_j ^ exponents[i], one row per distinct exponent;
     # atom k's factors are powers.flat[index[k]]
     exponents, inverse = np.unique(E, return_inverse=True)
     powers = np.ones((len(exponents), basis.dimension))
@@ -291,7 +293,7 @@ def _velocity(field):
 
     def velocity(y):
         for i, e in raised:
-            powers[i] = y ** e
+            powers[i] = _power(y, e)
         return (rows @ powers.take(index).prod(axis=1))[:, 0]
 
     return velocity

@@ -826,7 +826,11 @@ def test_non_finite_numbers_fail(tmp_path, monkeypatch, command):
 
 def _malformed_model_files():
     scalar = model_to_dict(poly_model(monomial_basis(2, 1), {(1, 0): 1.0}))
+    levelset = model_to_dict(sf.LevelSetModel(monomial_basis(2, 1),
+                                              [[0.0], [1.0], [0.0]]))
     return {
+        # json reads the NaN literal; the orthonormality test passed it
+        "nan_levelset.json": {**levelset, "W": [[float("nan"), 1.0, 0.0]]},
         "basis5.json": {**scalar, "basis": 5},
         "atoms5.json": {**scalar, "basis": {"dimension": 2, "atoms": 5}},
         "components.json": {"type": "basisfield", "components": [1, 2]},
@@ -854,6 +858,7 @@ def _malformed_model_files():
      "--known", "basis5.json"],
     ["discrete", "--model", "kde.json", "--data", "d.csv",
      "--family", "density-rotation", "--reference", "list.json"],
+    ["find-vf", "--model", "nan_levelset.json", "--data", "d.csv"],
 ])
 def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
     # each of these raised a TypeError or IndexError (exit 1), except the
@@ -865,7 +870,7 @@ def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
               + 0.1 * rng.standard_normal((90, 2)))
     save_model(sf.kde_fit(read_csv("d.csv")[0]), "kde.json")
     for name, model in _malformed_model_files().items():
-        save_json(model, name)
+        (tmp_path / name).write_text(json.dumps(model))  # save_json refuses NaN
     save_json([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], "list.json")
     out = "out" if command[0] == "fit-levelset" else "out.json"
     assert run(*command, "--out", out) == 2
@@ -1138,7 +1143,7 @@ def fuzz_inputs(tmp_path_factory):
     save_json({"coefficients": [1.0]}, path("no_type.json"))
     save_json(_field_with_exponent(1e20), path("big_power.json"))
     for name, model in _malformed_model_files().items():
-        save_json(model, path(name))
+        (root / name).write_text(json.dumps(model))  # save_json refuses NaN
     for name, opt in {"opt": {"loss": "mean-squared"},
                       "opt_mae": {"loss": "mean-absolute", "epochs": 20},
                       "opt_huge_rate": {"loss": "mean-absolute", "epochs": 5,

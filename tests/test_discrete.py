@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from symfield.discrete import (
     _BLOCK_POINTS,
     _angle_search,
     _brent,
+    _refine,
     _residual_losses,
 )
 from symfield.features import monomial_basis
@@ -157,6 +157,22 @@ def test_density_rotation_recovers_square_symmetry():
     assert result.parameters[0] == pytest.approx(np.pi / 2, abs=0.05)
 
 
+def _one_at_a_time(loss):
+    """A vectorised loss that calls a scalar loss once per angle."""
+    return lambda ts: np.array([loss(t) for t in ts])
+
+
+def _brent_alone(loss, a, b, xatol):
+    """(x, loss) of one _brent run driven by a scalar loss."""
+    run = _brent(a, b, xatol)
+    x = next(run)
+    while True:
+        try:
+            x = run.send(loss(x))
+        except StopIteration as stop:
+            return stop.value
+
+
 def _loss_one_angle_per_pass(model, points):
     """theta -> mean |p(S(theta) x) - p(x)|, one kernel pass per angle."""
     base = kde_eval(model, points)
@@ -173,10 +189,10 @@ def _density_rotation_one_angle_per_pass(kde, data, theta_min):
     theta_max = 2.0 * np.pi - theta_min
     loss = _loss_one_angle_per_pass(kde, data)
     grid = np.linspace(theta_min, theta_max, 66)
-    theta0 = _angle_search(loss, grid, [loss(t) for t in grid], 1e-4)
+    theta0 = _angle_search(_one_at_a_time(loss), grid, 1e-4)
     spacing = (theta_max - theta_min) / 65
     lo, hi = max(theta_min, theta0 - spacing), min(theta_max, theta0 + spacing)
-    return _brent(loss, lo, hi, 1e-5)
+    return _brent_alone(loss, lo, hi, 1e-5)
 
 
 def _disc_rot_kde(n_points, seed):
@@ -373,7 +389,9 @@ def _parametric_inputs(seed):
 def _one_dimensional_reference(f, data, family, loss_kind):
     """fit_discrete's one-dimensional path before the coordinate sweeps:
     theta itself on an interval family with one parameter, and
-    p = (cos phi, sin phi) on a unit-norm family with two."""
+    p = (cos phi, sin phi) on a unit-norm family with two, one angle per
+    call of f.  Returns p, its loss and the number of angles in each call of
+    the search's vectorised loss."""
     base = f(data)
 
     def losses(P):
@@ -384,12 +402,14 @@ def _one_dimensional_reference(f, data, family, loss_kind):
     else:
         grid = 2 * np.pi / 64 * np.arange(-1, 65)
         params = lambda t: np.array([np.cos(t), np.sin(t)])
-    loss = lambda t: float(losses(params(t)[None])[0])
-    p = params(_angle_search(loss, grid, [loss(t) for t in grid], 1e-10))
+    sizes = []
+    scalar = _one_at_a_time(lambda t: float(losses(params(t)[None])[0]))
+    p = params(_angle_search(lambda ts: sizes.append(len(ts)) or scalar(ts),
+                             grid, 1e-10))
     if (family.constraint == "unit-norm" and p[np.argmax(np.abs(p))] < 0
             and np.array_equal(family.matrix(-p), family.matrix(p))):
         p = -p
-    return p, float(losses(p[None])[0])
+    return p, float(losses(p[None])[0]), sizes
 
 
 def _counted(f):
@@ -403,8 +423,9 @@ def _counted(f):
                                   "user-linear-two", "user-linear-odd"])
 def test_one_line_families_match_one_dimensional_reference(case, seed, loss):
     # a family with one line gets one search, bit for bit the path it had;
-    # the reference scores one grid angle per call of f, the fit a block of
-    # _BLOCK_POINTS // len(data) angles per call
+    # the reference scores one angle per call of f, the fit a block of
+    # _BLOCK_POINTS // len(data) angles per call: the grid in blocks, then one
+    # block per Brent step holding every run still going
     parabola, plane, f_parabola, f_three = _parametric_inputs(seed)
     f, data, family = {
         "rotation": (f_three, plane, rotation_family(1.0, 3.0)),
@@ -419,11 +440,15 @@ def test_one_line_families_match_one_dimensional_reference(case, seed, loss):
     counted, calls = _counted(f)
     result = fit_discrete(counted, data, family, sf.OptimizerConfig(loss=loss))
     counted_ref, calls_ref = _counted(f)
-    p, final_loss = _one_dimensional_reference(counted_ref, data, family, loss)
+    p, final_loss, sizes = _one_dimensional_reference(counted_ref, data, family,
+                                                      loss)
     assert result.parameters.tolist() == p.tolist()
     assert result.final_loss == final_loss
     per_call = _BLOCK_POINTS // len(data)
-    assert len(calls) == len(calls_ref) - 66 + math.ceil(66 / per_call)
+    grid, steps = sizes[0], sizes[1:]
+    assert grid == 66 and all(k <= per_call for k in steps)
+    assert len(calls_ref) == 2 + sum(sizes)  # base, angles, final
+    assert len(calls) == 2 + math.ceil(grid / per_call) + len(steps)
 
 
 @pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
@@ -440,28 +465,36 @@ def test_stacked_grid_losses_equal_one_angle_losses(monkeypatch, case,
         f = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
         family = user_linear_family(ODD_THREE_ENTRIES, 3)
     calls = []  # (arguments, result) of each _residual_losses call
+    searches = []  # angles in each call of a line's loss, a list per search
 
     def recording(*args):
         calls.append((args, _residual_losses(*args)))
         return calls[-1][1]
 
+    def recording_search(losses, grid, xatol):
+        sizes = []
+        searches.append(sizes)
+        return angle_search(lambda ts: sizes.append(len(ts)) or losses(ts),
+                            grid, xatol)
+
+    angle_search = discrete._angle_search
     monkeypatch.setattr(discrete, "_residual_losses", recording)
+    monkeypatch.setattr(discrete, "_angle_search", recording_search)
     fit_discrete(f, data, family, sf.OptimizerConfig(loss=loss))
     stacked = [(args, out) for args, out in calls if len(args[4]) > 1]
     for (f_, data_, base, family_, P, loss_kind), out in stacked:
         for row, value in zip(P, out):
             one = _residual_losses(f_, data_, base, family_, row[None], loss_kind)
             assert value.hex() == one[0].hex()
-    # each search's 66 grid angles come in blocks of per_call, the last
-    # holding what is left
+    # each call of a line's loss, its 66 grid angles or one angle per Brent
+    # run still going, comes in blocks of per_call, the last holding what is
+    # left; the final loss is one more call
     per_call = _BLOCK_POINTS // n_points
-    full, last = divmod(66, per_call)
-    sizes = Counter(len(args[4]) for args, _ in stacked)
-    searches = sizes[per_call] // full
-    assert searches >= 2 and sizes[per_call] == full * searches
-    assert set(sizes) == {per_call, last} - {0, 1}
-    if last > 1:
-        assert sizes[last] == searches
+    assert len(searches) >= 2 and all(sizes[0] == 66 for sizes in searches)
+    assert any(k > 1 for sizes in searches for k in sizes[1:])  # stacked steps
+    assert [len(args[4]) for args, _ in calls] == [
+        min(per_call, k - i) for sizes in searches for k in sizes
+        for i in range(0, k, per_call)] + [1]
 
 
 @pytest.mark.parametrize("n_points", [300, 5000])
@@ -551,21 +584,43 @@ def test_brent_equals_scipy_bounded_bit_for_bit():
         b = a + rng.uniform(1e-3, 4)
         xatol = 10.0 ** rng.uniform(-12, -1)
         calls = []
-        x, fx = _brent(lambda t: calls.append(t) or loss(t), a, b, xatol)
+        x, fx = _brent_alone(lambda t: calls.append(t) or loss(t), a, b, xatol)
         ref = minimize_scalar(loss, bounds=(a, b), method="bounded",
                               options={"xatol": xatol})
         assert (x, fx, len(calls)) == (float(ref.x), float(ref.fun), ref.nfev)
+
+
+def test_lockstep_runs_equal_runs_alone():
+    # _refine advances every run by one step per call of the loss, and each
+    # run gives the (x, loss) and takes the steps it takes alone
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        loss = _random_profile(rng)
+        ends = np.sort(rng.uniform(-4, 4, (rng.integers(2, 8), 2)), axis=1)
+        brackets = [(a, b + 1e-3) for a, b in ends]
+        xatol = 10.0 ** rng.uniform(-12, -1)
+        alone, steps = [], []
+        for a, b in brackets:
+            calls = []
+            alone.append(_brent_alone(lambda t: calls.append(t) or loss(t),
+                                      a, b, xatol))
+            steps.append(len(calls))
+        sizes = []
+        together = _refine(lambda ts: sizes.append(len(ts)) or
+                           _one_at_a_time(loss)(ts), brackets, xatol)
+        assert together == alone
+        assert sizes == [sum(n > k for n in steps) for k in range(max(steps))]
 
 
 def test_angle_search_takes_smallest_comparable_minimum():
     # minima of equal depth at 1 and 4: the smaller angle is the generator
     loss = lambda t: float(min((t - 1.0) ** 2, (t - 4.0) ** 2))
     grid = np.linspace(0.3, 6.0, 66)
-    t = _angle_search(loss, grid, [loss(t) for t in grid], 1e-10)
+    t = _angle_search(_one_at_a_time(loss), grid, 1e-10)
     assert t == pytest.approx(1.0, abs=1e-8)
     # a profile falling towards an end returns that end
     grid = np.linspace(0.5, 2.0, 66)
-    assert _angle_search(lambda t: t, grid, list(grid), 1e-10) == 0.5
+    assert _angle_search(lambda ts: ts, grid, 1e-10) == 0.5
 
 
 def _seam_case(phi, rng):

@@ -4,6 +4,7 @@ import pytest
 from symfield.features import (
     FeatureAtom,
     FeatureBasis,
+    _power,
     design_matrix,
     jacobian_stack,
     monomial_basis,
@@ -42,6 +43,28 @@ def test_monomial_values():
     assert np.allclose(row, [1, 2, 3, 4, 6, 9])
 
 
+def test_power_is_exact_to_two_and_close_beyond():
+    # repeated squaring: x ** 1 and x ** 2 round once at most, as numpy's
+    # pow does; higher powers within e eps relative of libm's pow
+    x = np.random.default_rng(3).uniform(-3, 3, 1000)
+    assert np.array_equal(_power(x, 0), np.ones_like(x))
+    for e in (1, 2):
+        assert np.array_equal(_power(x, e), x ** e)
+    eps = np.finfo(float).eps
+    for e in range(3, 17):
+        np.testing.assert_allclose(_power(x, e), x ** e, rtol=e * eps, atol=0)
+
+
+def test_power_overflows_to_inf_as_pow_does():
+    x = np.array([1e200, -1e200, 1e40, -1e40, 3e102, -3e102])
+    with np.errstate(over="ignore"):
+        for e in (2, 3, 8, 9):
+            want, got = x ** e, _power(x, e)
+            assert np.isinf(want).any()
+            assert np.isinf(got).tolist() == np.isinf(want).tolist()
+            assert np.sign(got).tolist() == np.sign(want).tolist()
+
+
 def test_jacobian_quadratic_atoms():
     basis = FeatureBasis(2, (
         FeatureAtom("monomial", (2, 0)), FeatureAtom("monomial", (1, 1)),
@@ -76,6 +99,14 @@ def test_duplicate_atoms_rejected():
     atom = FeatureAtom("monomial", (1, 0))
     with pytest.raises(ValueError):
         FeatureBasis(2, (atom, atom))
+
+
+@pytest.mark.parametrize("kind", ["monomial", "product"])
+@pytest.mark.parametrize("exponent", [2.0, 1.5, True])
+def test_non_integer_exponent_rejected(kind, exponent):
+    # the powers are taken by repeated squaring, which needs an integer
+    with pytest.raises(ValueError, match="integers"):
+        FeatureAtom(kind, (exponent, 0))
 
 
 def test_negative_exponent_rejected():

@@ -209,6 +209,13 @@ def test_project_zero_components_identity():
     assert np.allclose(frame.axes, np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_level_set_model_refuses_a_non_finite_w(bad):
+    # a NaN deviation from orthonormality passed the tolerance test
+    with pytest.raises(ValueError, match="finite"):
+        LevelSetModel(monomial_basis(2, 1), [[bad], [1.0], [0.0]])
+
+
 def test_project_inconsistent_system():
     basis = monomial_basis(2, 1)
     W = np.zeros((3, 2))

@@ -7,6 +7,7 @@ import symfield as sf
 from conftest import poly_field, poly_model, rotation_field_2d
 from symfield import vfield
 from symfield.features import FeatureAtom, FeatureBasis, monomial_basis, trig_extend
+from symfield.manifold import _fix_column_signs
 from symfield.vfield import (
     BasisVectorField,
     FlowDivergedError,
@@ -105,6 +106,26 @@ def test_flow_invariance_of_fitted_function():
         bound = 10 * max(trace.final_loss, 1e-9) * abs(t) * grad_norms.max()
         drift = abs(f(traj[-1:])[0] - f(traj[:1])[0])
         assert drift <= max(bound, 1e-6)
+
+
+@pytest.mark.parametrize("n_points", [200, 2000])
+def test_field_sign_is_not_decided_by_rounding(n_points):
+    # the gaussian-quadratic field (4 - 4y) d/dx + (x - 1) d/dy has entries
+    # c0 = -c2 = 4 / sqrt(34), whose fitted magnitudes differ by about 1e-15
+    # either way; signing by the largest entry flipped 3 of these 14 fits
+    for seed in (401, 0, 11, 1, 2, 3, 977):
+        data, targets = sf.generate(
+            sf.GeneratorSpec("gaussian-quadratic", n_points, seed))
+        f = sf.fit_regression(data, targets, monomial_basis(2, 2))
+        model, _ = estimate_vector_fields(f, data, monomial_basis(2, 1), 1,
+                                          sf.OptimizerConfig(loss="mean-squared"))
+        c = model.columns[:, 0]
+        assert c[0] > 0 > c[2]
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            nudged = c + 1e-13 * rng.standard_normal(len(c))
+            for W in (nudged[:, None], -nudged[:, None]):
+                assert _fix_column_signs(W)[0, 0] > 0
 
 
 def test_degree_escalation_prefers_low_degree():
