@@ -7,7 +7,11 @@ global optimum (Ky Fan).  The mean-absolute loss uses Riemannian gradient
 descent or a Riemannian Adagrad variant (per-entry squared gradient
 accumulator applied before tangent projection).  One column runs on the
 sphere as a vector and retracts by normalisation, which is the QR
-retraction for one column; more columns retract by QR.  Everything is
+retraction for one column; more columns retract by QR.  Each epoch reads
+the residual r = A W column by column, from the transpose of A that the
+gradient A^T sign(r) uses, and takes the loss as sign(r) . r: W is the same
+as from a row-by-row product while no residual changes sign, but a trace's
+per-epoch losses can differ from sum |r| in the last bits.  Everything is
 full-batch and deterministic for a fixed seed.
 """
 
@@ -135,9 +139,11 @@ def minimize(
     """Minimize loss(A W, 0) over p x q matrices with orthonormal columns.
 
     The mean-squared loss takes one eigensolve and reads only config.loss;
-    the mean-absolute loss runs config.epochs steps from a seeded start.
-    Returns the sign-normalized solution and the loss trace; the trace's
-    final_loss is recomputed at the returned point.
+    the mean-absolute loss runs config.epochs steps from a seeded start,
+    each reading A W column by column and taking sign(r) . r as the loss,
+    which can differ from sum |r| in the last bits.  A needs at least one
+    row.  Returns the sign-normalized solution and the loss trace; the
+    trace's final_loss is recomputed at the returned point.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -145,6 +151,8 @@ def minimize(
     if not np.all(np.isfinite(A)):
         raise ValueError("A must be finite")
     rows, p = A.shape
+    if rows == 0:
+        raise ValueError("A must have at least one row")
     if not 1 <= q <= p:
         raise ValueError(f"need 1 <= q <= {p}, got q={q}")
     scale = rows * q
@@ -156,8 +164,12 @@ def minimize(
     At = np.ascontiguousarray(A.T)
 
     def loss_and_grad(W):
-        res = A @ W
-        return float(np.abs(res).sum()) / scale, (At @ np.sign(res)) / scale
+        # At.T is A stored by columns: the product runs p column passes
+        # rather than a short dot product per row; sign(r).r is sum |r|
+        # without a second pass over the residual
+        r = At.T @ W
+        s = np.sign(r)
+        return float(np.vdot(s, r)) / scale, (At @ s) / scale
 
     W = random_orthonormal(p, q, np.random.default_rng(config.seed))
     if q == 1:

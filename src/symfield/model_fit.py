@@ -46,6 +46,11 @@ ELBOW_LOSS_FLOOR = 1e-12
 # one row block of kernel values holds about this many doubles (512 KB), so
 # the exponent, its exponential and the weighted sums stay in cache
 KERNEL_BLOCK_ELEMENTS = 1 << 16
+# _kernel_sums' largest rounding of a kernel exponent, relative to 1, before
+# it forms exponents from differences; the benchmark's kernel sums (disc-rot
+# at N = 1000 and 1500, the CLI grid) read 6.1e-14 to 9.0e-14 and keep the
+# faster product form
+KERNEL_EXPONENT_RTOL = 1e-12
 # _kde_table's node spacing in bandwidths: at h/20 density rotation's angle
 # lies within 1.9e-6 of the exact loss's optimum on the benchmark's twelve
 # disc-rot fits (5.4e-6 at h/16, 2.5e-5 at h/10)
@@ -341,20 +346,33 @@ def _kernel_sums(
     model: KdeModel, points: np.ndarray, want_gradient: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Weighted row sums K w of the kernel matrix K[i, j] = k(p_i - c_j), and
-    their gradient sums if want_gradient, over cache-sized row blocks."""
+    their gradient sums if want_gradient, over cache-sized row blocks.
+
+    A block's exponents -|p - c|^2 / (2 h^2) are one product of centred
+    coordinates, |p|^2 + |c|^2 - 2 p.c, which rounds by about
+    eps (|p| + |c|)^2.  Where that over 2 h^2 exceeds KERNEL_EXPONENT_RTOL,
+    as at a bandwidth narrow against the data, the exponents are summed from
+    the differences p - c instead.
+    """
     # centring keeps the cancellation in |p|^2 + |c|^2 - 2 p.c independent
     # of where the data sit
     shift = model.centers.mean(axis=0)
     C = model.centers - shift
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    if P.ndim != 2 or P.shape[1] != model.dimension:
-        raise ValueError(f"points of shape {P.shape} for a "
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != model.dimension:
+        raise ValueError(f"points of shape {points.shape} for a "
                          f"{model.dimension}-dimensional density")
-    P = P - shift
+    P = points - shift
     h2 = model.bandwidth**2
-    # a block's exponents -|p - c|^2 / (2 h^2) are one product [p, -1, -|p|^2] . rhs
-    rhs = np.vstack([2.0 * C.T, (C * C).sum(axis=1), np.ones(len(C))]) / (2.0 * h2)
-    lhs = np.column_stack([P, -np.ones(len(P)), -(P * P).sum(axis=1)])
+    pp = (P * P).sum(axis=1)
+    cc = (C * C).sum(axis=1)
+    # eps reach^2 / (2 h^2) > rtol, without overflow; a reach that is not
+    # finite keeps the product form, whose overflow is refused below
+    reach = math.sqrt(pp.max(initial=0.0)) + math.sqrt(cc.max(initial=0.0))
+    direct = math.isfinite(reach) and reach / model.bandwidth > math.sqrt(
+        2.0 * KERNEL_EXPONENT_RTOL / np.finfo(float).eps)
+    rhs = np.vstack([2.0 * C.T, cc, np.ones(len(C))]) / (2.0 * h2)
+    lhs = np.column_stack([P, -np.ones(len(P)), -pp])
     wC = model.weights[:, None] * C
     vals = np.empty(len(P))
     grads = np.empty(P.shape) if want_gradient else None
@@ -362,7 +380,18 @@ def _kernel_sums(
     buf = np.empty((min(rows, len(P)), len(C)))
     for lo in range(0, len(P), rows):
         blk = slice(lo, lo + rows)
-        K = np.matmul(lhs[blk], rhs, out=buf[: len(P) - lo])
+        K = buf[: len(P) - lo]
+        if direct:
+            # from the uncentred coordinates, whose differences are exact
+            # for near pairs; a far pair's exponent may overflow to -inf
+            K[...] = 0.0
+            with np.errstate(over="ignore"):
+                for axis in range(model.dimension):
+                    D = np.subtract.outer(points[blk, axis], model.centers[:, axis])
+                    K += D * D
+                K /= -2.0 * h2
+        else:
+            np.matmul(lhs[blk], rhs, out=K)
         np.exp(np.minimum(K, 0.0, out=K), out=K)
         vals[blk] = v = K @ model.weights
         if want_gradient:

@@ -339,7 +339,7 @@ def flow_integrate(
             k3 = velocity(x + 0.5 * h * k2)
             k4 = velocity(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise FlowDivergedError(i)
             out[i + 1] = x
     return out

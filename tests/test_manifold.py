@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,13 @@ def test_minimize_rejects_nonfinite():
         minimize(A, 1, OptimizerConfig(epochs=1))
 
 
+@pytest.mark.parametrize("loss", ["mean-absolute", "mean-squared"])
+def test_minimize_refuses_a_matrix_with_no_rows(loss):
+    # the losses divide by the row count: this was a ZeroDivisionError
+    with pytest.raises(ValueError, match="at least one row"):
+        minimize(np.zeros((0, 3)), 1, OptimizerConfig(loss=loss, epochs=1))
+
+
 def test_minimize_q_bounds():
     A = np.ones((3, 2))
     with pytest.raises(ValueError):
@@ -308,6 +317,61 @@ def test_sphere_loop_matches_qr_retraction():
         assert W.shape == (A.shape[1], 1)
         assert np.abs(W - ref_W).max() <= 1e-12
         assert trace.final_loss == pytest.approx(ref_loss, rel=1e-12)
+
+
+def _row_major_minimize(A, q, config):
+    """minimize's mean-absolute loop as it was before it read A by columns:
+    the residual A @ W a row at a time and the loss sum |r|.  Returns W, the
+    per-epoch losses and the final loss."""
+    rows, p = A.shape
+    scale = rows * q
+    At = np.ascontiguousarray(A.T)
+
+    def loss_and_grad(W):
+        res = A @ W
+        return float(np.abs(res).sum()) / scale, (At @ np.sign(res)) / scale
+
+    W = random_orthonormal(p, q, np.random.default_rng(config.seed))
+    if q == 1:
+        W = W[:, 0]
+    acc = np.zeros_like(W)
+    losses = []
+    for _ in range(config.epochs):
+        loss, g = loss_and_grad(W)
+        losses.append(loss)
+        if config.algorithm == "riemannian-adagrad":
+            step = config.learning_rate * g / np.sqrt(acc + config.adagrad_epsilon)
+            acc += g * g
+        else:
+            step = config.learning_rate * g
+        if q == 1:
+            W = W - (step - W * (W @ step))
+            W /= math.hypot(*W.tolist())
+        else:
+            W = retract(W, -tangent_project(W, step))
+    W = _fix_column_signs(W.reshape(p, q))
+    return W, losses, loss_and_grad(W)[0]
+
+
+def _stiefel_cases():
+    # criterion 4's matrix, 12 columns, with two and three columns of W
+    A = _sincos_matrix(0, monomial_basis(2, 2))
+    for q in (2, 3):
+        yield A, q, OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.1,
+                                    2000, q)
+
+
+def test_column_read_loop_matches_row_major_loop():
+    # only sign(r) reaches the gradient, so W is bit for bit the row-major
+    # loop's while no residual changes sign; the loss sign(r).r sums the
+    # column-read residual and may differ from sum |r| in the last bits
+    cases = [(A, 1, config) for A, config in _sphere_cases()]
+    for A, q, config in cases + list(_stiefel_cases()):
+        W, trace = minimize(A, q, config)
+        ref_W, ref_losses, ref_final = _row_major_minimize(A, q, config)
+        assert np.array_equal(W, ref_W)
+        np.testing.assert_allclose(trace.losses, ref_losses, rtol=1e-13, atol=0)
+        assert trace.final_loss == pytest.approx(ref_final, rel=1e-13, abs=0)
 
 
 def test_sphere_loop_takes_no_qr_after_the_start(monkeypatch):

@@ -369,6 +369,19 @@ def test_kde_matches_direct_pairwise_sums(queries, centers, dim):
                                atol=1e-12 * np.abs(grads).max())
 
 
+@pytest.mark.parametrize("bandwidth", [1e-6, 1e-8, 1e-10])
+def test_kde_at_a_narrow_bandwidth_matches_direct_pairwise_sums(bandwidth):
+    # |p|^2 + |c|^2 - 2 p.c rounds by about eps |c|^2, which over 2 h^2 read
+    # the density at a model's own centres as low as 0.9996, 0.082 and 0 of
+    # the truth at these bandwidths; near a centre the kernel is about 0.6
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((12, 2))
+    model = KdeModel(data, rng.uniform(0.1, 1.0, 12), bandwidth)
+    for points in (data, data + bandwidth * rng.standard_normal((12, 2))):
+        vals, _ = direct_kde(model, points)
+        np.testing.assert_allclose(kde_eval(model, points), vals, rtol=1e-12)
+
+
 @pytest.mark.parametrize(
     "centers, block_elements",
     [

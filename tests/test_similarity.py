@@ -1,9 +1,18 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import symfield as sf
 from conftest import poly_field, poly_model, rotation_field_2d
-from symfield.features import FeatureAtom, FeatureBasis, monomial_basis
+from symfield.features import (
+    FeatureAtom,
+    FeatureBasis,
+    design_matrix,
+    monomial_basis,
+    trig_extend,
+)
 from symfield.similarity import (
     IntegrationDomain,
     _monomial_box_integral,
@@ -11,6 +20,8 @@ from symfield.similarity import (
     similarity,
 )
 
+# the package exports the function similarity under the module's name
+similarity_module = importlib.import_module("symfield.similarity")
 BOX = IntegrationDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
 
@@ -109,6 +120,61 @@ def test_monte_carlo_converges_with_samples():
         errs.append(np.mean(devs))
     assert errs[-1] < errs[0]
     assert errs[-1] < 3e-3
+
+
+def _random_component(basis, rng):
+    return sf.ScalarFunctionModel(basis, rng.standard_normal(len(basis)))
+
+
+def _shared_matrix_pairs():
+    rng = np.random.default_rng(5)
+    trig = trig_extend(monomial_basis(2, 1))
+    model = sf.VectorFieldModel(trig, rng.standard_normal((2 * len(trig), 1)))
+    # distinct bases, and two equal bases that are distinct objects
+    distinct = sf.BasisVectorField([_random_component(monomial_basis(2, 2), rng),
+                                    _random_component(trig, rng)])
+    equal = sf.BasisVectorField([_random_component(monomial_basis(2, 3), rng),
+                                 _random_component(monomial_basis(2, 3), rng)])
+    return [(model, model.field(0)), (distinct, equal), (model, distinct),
+            (equal, model)]
+
+
+@pytest.mark.parametrize("pair", range(4))
+def test_shared_design_matrix_matches_one_call_per_component(monkeypatch, pair):
+    X, Y = _shared_matrix_pairs()[pair]
+    box = IntegrationDomain(np.array([-1.0, 0.5]), np.array([2.0, 3.0]))
+    fast = similarity(X, Y, box, method="monte-carlo", mc_samples=5000, mc_seed=3)
+    # each component evaluated by its own c(S), one design matrix per call
+    monkeypatch.setattr(similarity_module, "_component_values",
+                        lambda comps, S: np.column_stack([c(S) for c in comps]))
+    exact = similarity(X, Y, box, method="monte-carlo", mc_samples=5000, mc_seed=3)
+    assert [v.hex() for v in fast.per_component] == [
+        v.hex() for v in exact.per_component]
+    assert fast.aggregate.hex() == exact.aggregate.hex()
+
+
+def test_monte_carlo_holds_one_design_matrix_at_a_time():
+    # building one design matrix peaks at about twice its size (its columns
+    # and their stack); a second matrix held beside it adds a whole matrix
+    rng = np.random.default_rng(6)
+    wide = monomial_basis(2, 8)
+    wider = wide.extend([FeatureAtom("sin", axis=0)])
+    X = sf.BasisVectorField([_random_component(wide, rng),
+                             _random_component(wider, rng)])
+    Y = sf.BasisVectorField([_random_component(wider, rng),
+                             _random_component(wide, rng)])
+    samples = 20_000
+    S = rng.uniform(-1.0, 1.0, (samples, 2))
+    tracemalloc.start()
+    try:
+        size = design_matrix(wider, S).nbytes
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        similarity(X, Y, BOX, method="monte-carlo", mc_samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= one + size / 2
 
 
 def test_zero_norm_conventions():
