@@ -11,10 +11,13 @@ grid, refines every grid minimum by Brent's bounded minimisation and takes
 the smallest angle of comparable refined loss; it runs along one line of
 the parameter set at a time (a coordinate of an interval family, a turn in
 one coordinate plane of a unit-norm family) and sweeps the lines until the
-parameters stop moving.  The Brent runs of one line advance in lockstep, so
-each step of all of them is one set of angles, and every set of angles, the
-grid's or a step's, is scored by one blocked scorer: stacked calls of f,
-each on at most _BLOCK_POINTS transformed points.  fit_density_rotation is
+parameters stop moving.  A unit-norm fit of three or more parameters starts
+at the best of a fixed set of unit vectors and ends each sweep with a turn
+along the great circle that the sweep moved on.  The Brent runs of one line
+advance in lockstep, so each step of all of them is one set of angles, and
+every set of angles, the grid's or a step's, is scored by one blocked
+scorer: stacked calls of f, each on at most _BLOCK_POINTS transformed
+points.  fit_density_rotation is
 fit_discrete on a rotation family, with f an estimated density read from a
 table.
 """
@@ -215,6 +218,9 @@ _BLOCK_POINTS = 1 << 12  # most transformed points in one grid call of f
 _FIT_XATOL = 1e-10  # fit_discrete's line-search tolerance
 _SWEEP_TOL = 1e-8  # fit_discrete stops when a sweep moves no coordinate further
 _MAX_SWEEPS = 50
+# starts a unit-norm fit of three or more parameters scores: 256 found the
+# planted normal of the three-parameter Householder family in 200 of 200 fits
+_STARTS = 256
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -341,15 +347,19 @@ def fit_discrete(
     Coordinate descent with exact line searches (Wright 2015): each line
     through p is searched by _angle_search.  On an interval family p starts
     at the box midpoint and each line is one coordinate, on linspace(lo, hi,
-    _GRID + 2).  On a unit-norm family p starts at e0 and each line turns p
-    by t in a coordinate plane in which p has a component, with t on a grid
-    one spacing past both ends of [0, 2 pi]; with one parameter the better
-    of +-e0 is taken.  Sweeps repeat until no coordinate moves by more than
-    _SWEEP_TOL, at most _MAX_SWEEPS times; one line gets one search.  Each
-    set of angles a search scores, its grid or one lockstep step of its
-    Brent runs, is scored in blocks of _BLOCK_POINTS // N angles (at least
-    one), one call of f per block; a row's loss does not depend on its
-    block.  Only config.loss is read.
+    _GRID + 2).  On a unit-norm family each line turns p by t in a
+    coordinate plane in which p has a component, with t on a grid one
+    spacing past both ends of [0, 2 pi].  With one parameter the better of
+    +-e0 is taken, with two p starts at e0, and with three or more p starts
+    at the best of _STARTS fixed unit vectors (normalised Gaussian draws of
+    seed 0), scored in one blocked call of the loss, and each sweep that
+    moves p ends with one more search, along the great circle from the
+    sweep's start through p (Powell 1964).  Sweeps repeat until no
+    coordinate moves by more than _SWEEP_TOL, at most _MAX_SWEEPS times; one
+    line gets one search.  Each set of angles a search scores, its grid or
+    one lockstep step of its Brent runs, is scored in blocks of
+    _BLOCK_POINTS // N angles (at least one), one call of f per block; a
+    row's loss does not depend on its block.  Only config.loss is read.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != family.dimension:
@@ -374,7 +384,12 @@ def fit_discrete(
             q[i] = t
             return q
     else:
-        p = np.eye(n)[0]
+        if n >= 3:  # sweeps from e0 alone can end in a local minimum
+            starts = np.random.default_rng(0).standard_normal((_STARTS, n))
+            starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+            p = starts[np.argmin(losses(starts))]
+        else:
+            p = np.eye(n)[0]
         grid = 2 * np.pi / _GRID * np.arange(-1, _GRID + 1)
         lines = list(combinations(range(n), 2))
 
@@ -395,6 +410,14 @@ def fit_discrete(
             p = moved(p, line, t)
         if np.max(np.abs(p - start)) <= _SWEEP_TOL:
             break
+        if family.constraint == "unit-norm" and n >= 3:
+            # one more search, along the great circle from the sweep's start
+            # through p: coupled parameters otherwise converge only linearly
+            d = p - (start @ p) * start
+            d /= np.linalg.norm(d)
+            arc = lambda ts: np.cos(ts)[:, None] * start + np.sin(ts)[:, None] * d
+            t = _angle_search(lambda ts: losses(arc(ts)), grid, _FIT_XATOL)
+            p = arc(np.array([t]))[0]
     if not lines:
         p = min((p, -p), key=lambda q: losses(q[None])[0])
     if (family.constraint == "unit-norm" and p[np.argmax(np.abs(p))] < 0
@@ -417,11 +440,11 @@ def fit_density_rotation(
     Minimizes mean |p(S(theta) x_i) - p(x_i)|: fit_discrete's mean-absolute
     residual of p on rotation_family(theta_min, 2 pi - theta_min), with
     fit_discrete's search and boundary flag.  Rotations keep |x|, so p is
-    read from a table over the disc of radius max |x_i| (model_fit's
-    _kde_table), and final_loss is the exact loss at the chosen angle, from
-    one kde_eval of the data and one of its turn.  Data whose radius is not
-    finite, or whose density and turned density are 0 everywhere, raise
-    FloatingPointError: no angle is singled out.
+    read from a table over the square that holds the disc of radius
+    max |x_i| (model_fit's _kde_table), and final_loss is the exact loss at
+    the chosen angle, from one kde_eval of the data and one of its turn.
+    Data whose radius is not finite, or whose density and turned density are
+    0 everywhere, raise FloatingPointError: no angle is singled out.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:

@@ -351,8 +351,8 @@ def _kernel_sums(
     A block's exponents -|p - c|^2 / (2 h^2) are one product of centred
     coordinates, |p|^2 + |c|^2 - 2 p.c, which rounds by about
     eps (|p| + |c|)^2.  Where that over 2 h^2 exceeds KERNEL_EXPONENT_RTOL,
-    as at a bandwidth narrow against the data, the exponents are summed from
-    the differences p - c instead.
+    as at a bandwidth narrow against the data, the exponents and the
+    gradient sums are summed from the differences p - c instead.
     """
     # centring keeps the cancellation in |p|^2 + |c|^2 - 2 p.c independent
     # of where the data sit
@@ -394,7 +394,12 @@ def _kernel_sums(
             np.matmul(lhs[blk], rhs, out=K)
         np.exp(np.minimum(K, 0.0, out=K), out=K)
         vals[blk] = v = K @ model.weights
-        if want_gradient:
+        if want_gradient and direct:
+            # sum_j w_j k (c_j - p) without the centred product's rounding
+            for axis in range(model.dimension):
+                D = np.subtract.outer(points[blk, axis], model.centers[:, axis])
+                grads[blk, axis] = (K * D) @ model.weights / -h2
+        elif want_gradient:
             grads[blk] = (K @ wC - v[:, None] * P[blk]) / h2
     # a point or centre too many bandwidths out overflows the exponent
     if not (np.all(np.isfinite(vals)) and (grads is None or np.all(np.isfinite(grads)))):
@@ -434,6 +439,12 @@ def _kde_table(model: KdeModel, radius: float):
     is one product sum_j w_j k(x_a - c_j,x) k(y_b - c_j,y), built over blocks
     of centres in one reused buffer: 2 nodes x centres exponentials, where
     kde_eval on the nodes takes nodes^2 x centres.
+
+    A read is node-major: each point's four Catmull-Rom weights per axis go
+    into one (4, 2, points) array, its 4 x 4 stencil is one take of
+    (16, points) table values, and one einsum sums w_x[a] v[a, b] w_y[b]
+    over each point's stencil.  The weights and the stencil values have the
+    points last, so the gather and the sum run along contiguous rows.
     """
     side = math.isqrt(TABLE_MAX_CELLS)
     step = max(TABLE_SPACING * model.bandwidth, radius / (side / 2))
@@ -459,13 +470,16 @@ def _kde_table(model: KdeModel, radius: float):
     offsets = (stencil[:, None] * len(nodes) + stencil).ravel()
 
     def density(points):
-        u = np.asarray(points, dtype=float) / step + (radius / step + 1.0)
+        u = np.asarray(points, dtype=float).T / step + (radius / step + 1.0)
         k = np.clip(np.floor(u), 1, cells).astype(int)  # each cell's low node
         t = u - k
-        w = 0.5 * np.stack([((2.0 - t) * t - 1.0) * t, (3.0 * t - 5.0) * t * t + 2.0,
-                            ((4.0 - 3.0 * t) * t + 1.0) * t, (t - 1.0) * t * t], -1)
-        corner = k[:, 0] * len(nodes) + k[:, 1]
-        values = flat.take(corner[:, None] + offsets).reshape(-1, 4, 4)
-        return np.einsum("pa,pab,pb->p", w[:, 0], values, w[:, 1])
+        w = np.empty((4, *t.shape))  # w[i, axis, p]
+        w[0] = ((2.0 - t) * t - 1.0) * t
+        w[1] = (3.0 * t - 5.0) * t * t + 2.0
+        w[2] = ((4.0 - 3.0 * t) * t + 1.0) * t
+        w[3] = (t - 1.0) * t * t
+        w *= 0.5
+        values = flat.take(offsets[:, None] + (k[0] * len(nodes) + k[1]))
+        return np.einsum("ap,abp,bp->p", w[:, 0], values.reshape(4, 4, -1), w[:, 1])
 
     return density

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symfield as sf
-from conftest import poly_model
+from conftest import einsum_table_reader, poly_model
 from symfield.features import FeatureAtom, design_matrix, monomial_basis, trig_extend
 from symfield import model_fit
 from symfield.manifold import LSTSQ_RCOND, RetractionSingularError
@@ -373,13 +374,17 @@ def test_kde_matches_direct_pairwise_sums(queries, centers, dim):
 def test_kde_at_a_narrow_bandwidth_matches_direct_pairwise_sums(bandwidth):
     # |p|^2 + |c|^2 - 2 p.c rounds by about eps |c|^2, which over 2 h^2 read
     # the density at a model's own centres as low as 0.9996, 0.082 and 0 of
-    # the truth at these bandwidths; near a centre the kernel is about 0.6
+    # the truth at these bandwidths; near a centre the kernel is about 0.6.
+    # The gradient sums w k (c - p) / h^2 over centred coordinates as
+    # K (w c) - (K w) p rounded by about eps |c| / h^2, which put them off
+    # by 3.3e-10, 7.1e-9 and 1.7e-6 of the largest entry a bandwidth away
     rng = np.random.default_rng(0)
     data = rng.standard_normal((12, 2))
     model = KdeModel(data, rng.uniform(0.1, 1.0, 12), bandwidth)
     for points in (data, data + bandwidth * rng.standard_normal((12, 2))):
-        vals, _ = direct_kde(model, points)
+        vals, grads = direct_kde(model, points)
         np.testing.assert_allclose(kde_eval(model, points), vals, rtol=1e-12)
+        np.testing.assert_allclose(kde_gradient(model, points), grads, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -430,6 +435,58 @@ def test_kde_table_spreads_its_nodes_past_the_cap(monkeypatch):
     points = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
     np.testing.assert_allclose(density(points), kde_eval(model, points),
                                rtol=0, atol=1e-13 * kde_eval(model, np.zeros((1, 2)))[0])
+
+
+def _disc_rot_table(n_points):
+    """The benchmark's disc-rot density (seed 401, weights target^8), its
+    table and the table's radius."""
+    data, targets = sf.generate(sf.GeneratorSpec("disc-rot", n_points, 401))
+    weights = targets**8
+    model = kde_fit(data, weights / weights.sum())
+    radius = float(np.max(np.hypot(data[:, 0], data[:, 1])))
+    return _kde_table(model, radius), radius
+
+
+@pytest.mark.parametrize("n_points", [1000, 1500])
+def test_node_major_table_read_matches_einsum_read(n_points):
+    # the same products of weights and table values, summed by a node-major
+    # einsum rather than a point-major one: at every seventh node, at random
+    # points of the disc, and on the square's edges and one cell past them,
+    # where the clip to the outer cells engages
+    density, radius = _disc_rot_table(n_points)
+    reference = einsum_table_reader(density)
+    table = inspect.getclosurevars(density).nonlocals
+    nodes, step = table["nodes"][1:-1:7], table["step"]
+    rng = np.random.default_rng(n_points)
+    r, phi = radius * np.sqrt(rng.uniform(size=4096)), rng.uniform(0, 2 * np.pi, 4096)
+    s = rng.uniform(-radius, radius, 256)
+    at_nodes = np.stack(np.meshgrid(nodes, nodes), -1).reshape(-1, 2)
+    in_disc = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+    on_edges = np.concatenate([
+        np.column_stack([s, np.full_like(s, end)])[:, ::order]
+        for end in (-radius - step, -radius, radius, radius + step) for order in (1, -1)])
+    peak = reference(at_nodes).max()
+    for points in (at_nodes, in_disc, on_edges):
+        np.testing.assert_allclose(density(points), reference(points),
+                                   rtol=0, atol=1e-15 * peak)
+
+
+def test_node_major_table_read_holds_no_more_than_einsum_read():
+    # one read of 4096 points, a grid call's most; the einsum read held a
+    # (4096, 16) index and its values, the (4096, 2, 4) weights and their
+    # stacked temporaries at once
+    density, radius = _disc_rot_table(1000)
+    reference = einsum_table_reader(density)
+    points = np.random.default_rng(3).uniform(-radius, radius, (4096, 2)) / math.sqrt(2)
+    peaks = []
+    for read in (density, reference):
+        tracemalloc.start()
+        try:
+            read(points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def dyadic(x):
