@@ -13,6 +13,7 @@ from .datasets import GENERATOR_NAMES, GeneratorSpec, generate
 from .discrete import (
     DiscreteFitResult,
     ParametricFamily,
+    fit_density,
     fit_density_rotation,
     fit_discrete,
     generator_cosine,

@@ -267,33 +267,33 @@ def cmd_sim(args) -> None:
 def cmd_discrete(args) -> None:
     data, _ = read_csv(args.data)
     density = args.family == "density-rotation"
-    model = _load_model(args.model, KdeModel if density else ScalarFunctionModel)
+    kinds = (KdeModel,) if density else (ScalarFunctionModel, KdeModel)
+    model = _load_model(args.model, *kinds)
+    if args.reference and not density:
+        raise ValueError("--reference scores only a density-rotation fit")
     if density:
         result = discrete.fit_density_rotation(model, data, args.theta_min)
-        out = result.to_dict()
-        if args.reference:
-            ref = np.array(_load_member(args.reference, "matrix"), dtype=float)
-            out["generator_similarity"] = discrete.similarity_matrix(
-                result.parameters[0], ref
-            )
-        save_json(out, args.out)
-        return
-    if args.family == "reflection":
-        family = discrete.reflection_family()
-    elif args.family == "rotation":
-        family = discrete.rotation_family(args.lo, args.hi)
     else:
-        if args.entries is None:
-            raise ValueError("user-linear needs --entries")
-        bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
-        family = discrete.user_linear_family(
-            _load_member(args.entries, "entries"),
-            args.n_params,
-            constraint="unit-norm" if bounds is None else "interval",
-            interval=bounds,
-        )
-    result = discrete.fit_discrete(model, data, family, _opt_config(args))
-    save_json(result.to_dict(), args.out)
+        if args.family == "reflection":
+            family = discrete.reflection_family()
+        elif args.family == "rotation":
+            family = discrete.rotation_family(args.lo, args.hi)
+        else:
+            if args.entries is None:
+                raise ValueError("user-linear needs --entries")
+            bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
+            family = discrete.user_linear_family(
+                _load_member(args.entries, "entries"), args.n_params,
+                "unit-norm" if bounds is None else "interval", bounds)
+        result = (discrete.fit_density(model, data, family)
+                  if isinstance(model, KdeModel)
+                  else discrete.fit_discrete(model, data, family, _opt_config(args)))
+    out = result.to_dict()
+    if args.reference:
+        ref = np.array(_load_member(args.reference, "matrix"), dtype=float)
+        out["generator_similarity"] = discrete.similarity_matrix(
+            result.parameters[0], ref)
+    save_json(out, args.out)
 
 
 def cmd_pullback(args) -> None:
@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discrete", help="fit a discrete parametric symmetry")
     p.add_argument("--model", required=True,
-                   help="scalar model JSON, or KDE JSON for density-rotation")
+                   help="scalar model JSON, or KDE JSON (fitted under the "
+                   "mean-absolute loss; density-rotation takes only a KDE)")
     p.add_argument("--data", required=True)
     p.add_argument(
         "--family",

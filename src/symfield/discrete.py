@@ -17,9 +17,9 @@ along the great circle that the sweep moved on.  The Brent runs of one line
 advance in lockstep, so each step of all of them is one set of angles, and
 every set of angles, the grid's or a step's, is scored by one blocked
 scorer: stacked calls of f, each on at most _BLOCK_POINTS transformed
-points.  fit_density_rotation is
-fit_discrete on a rotation family, with f an estimated density read from a
-table.
+points.  fit_density fits a planar family to an estimated density: it is
+fit_discrete under the mean-absolute loss, with f the density read from a
+table, and fit_density_rotation is fit_density on a rotation family.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "rotation_family",
     "user_linear_family",
     "fit_discrete",
+    "fit_density",
     "fit_density_rotation",
     "rotation_generator",
     "generator_cosine",
@@ -71,14 +72,6 @@ def _evaluate(tree, columns):
     raise ValueError(f"unknown expression op {op!r}")
 
 
-def eval_expression(tree, params: np.ndarray):
-    """Evaluate a JSON-style expression tree at a parameter vector (a float)
-    or at each row of a (k, n_params) stack (k values)."""
-    P = np.asarray(params, dtype=float)
-    values = np.broadcast_to(_evaluate(tree, P.T), P.shape[:-1])
-    return float(values) if P.ndim == 1 else values
-
-
 _FUNCTIONS = {"neg": np.negative, "sin": np.sin, "cos": np.cos}
 _UNARY_OPS = (*_FUNCTIONS, "pow")
 
@@ -88,8 +81,8 @@ def _is_number(value, kinds=(int, float)) -> bool:
 
 
 def _check_expression(tree, n_params: int) -> None:
-    """Raise ValueError unless eval_expression can evaluate tree at a vector
-    of n_params parameters."""
+    """Raise ValueError unless _evaluate can evaluate tree at n_params
+    parameters."""
     if _is_number(tree):
         return
     if not isinstance(tree, dict):
@@ -431,42 +424,54 @@ def fit_discrete(
                              excluded_region_active=boundary)
 
 
-def fit_density_rotation(
-    kde: KdeModel, data: np.ndarray, theta_min: float
-) -> DiscreteFitResult:
-    """Rotation angle in (theta_min, 2 pi - theta_min) matching the estimated
-    density.
+def fit_density(kde: KdeModel, data: np.ndarray,
+                family: ParametricFamily) -> DiscreteFitResult:
+    """Parameters of a planar family that best preserve the estimated density.
 
-    Minimizes mean |p(S(theta) x_i) - p(x_i)|: fit_discrete's mean-absolute
-    residual of p on rotation_family(theta_min, 2 pi - theta_min), with
-    fit_discrete's search and boundary flag.  Rotations keep |x|, so p is
-    read from a table over the square that holds the disc of radius
-    max |x_i| (model_fit's _kde_table), and final_loss is the exact loss at
-    the chosen angle, from one kde_eval of the data and one of its turn.
-    Data whose radius is not finite, or whose density and turned density are
-    0 everywhere, raise FloatingPointError: no angle is singled out.
+    Minimizes mean |p(M x_i) - p(x_i)| by fit_discrete, with p read from a
+    table (model_fit's _kde_table) over the square that holds the disc of
+    radius max |x_i|: turns and reflections keep |x|.  A scored point off
+    that square, as under an expanding family, raises ValueError.
+    final_loss is the exact loss, from one kde_eval of the data and one of
+    their image.  Data whose radius is not finite, or whose density and its
+    image's are 0 everywhere, raise FloatingPointError.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != 2 or kde.dimension != 2:
-        raise ValueError("density rotation fitting is two-dimensional")
-    if not 0.0 < theta_min < np.pi:
-        raise ValueError("theta_min must lie in (0, pi)")
-    # the excluded region around the identity is symmetric: angles within
-    # theta_min of a full turn are just as trivial as small ones
-    family = rotation_family(theta_min, 2.0 * np.pi - theta_min)
+        raise ValueError("density symmetry fitting is two-dimensional")
     with np.errstate(over="ignore"):
         radius = float(np.max(np.hypot(data[:, 0], data[:, 1])))
     if not np.isfinite(radius):
         raise FloatingPointError("the data's distance from the origin is not finite")
-    fit = fit_discrete(_kde_table(kde, radius), data, family,
-                       OptimizerConfig(loss="mean-absolute"))
-    turned = data @ family.matrix(fit.parameters).T
-    at_turned, at_data = kde_eval(kde, turned), kde_eval(kde, data)
-    if not (np.any(at_turned) or np.any(at_data)):
-        raise FloatingPointError("the density is 0 at the data and their turn: "
+    table = _kde_table(kde, radius)
+    bound = radius * (1.0 + 1e-12)  # a turn's matrix and product round by eps
+
+    def density(points):
+        if np.abs(points).max() > bound:
+            raise ValueError("the family moves a point off the density table "
+                             f"|x|, |y| <= {radius:.6g}")
+        return table(points)
+
+    fit = fit_discrete(density, data, family, OptimizerConfig(loss="mean-absolute"))
+    image = data @ family.matrix(fit.parameters).T
+    at_image, at_data = kde_eval(kde, image), kde_eval(kde, data)
+    if not (np.any(at_image) or np.any(at_data)):
+        raise FloatingPointError("the density is 0 at the data and their image: "
                                  "no angle is singled out")
-    fit.final_loss = float(np.mean(np.abs(at_turned - at_data)))
+    fit.final_loss = float(np.mean(np.abs(at_image - at_data)))
     return fit
+
+
+def fit_density_rotation(
+    kde: KdeModel, data: np.ndarray, theta_min: float
+) -> DiscreteFitResult:
+    """Rotation angle in (theta_min, 2 pi - theta_min) matching the estimated
+    density: fit_density on rotation_family(theta_min, 2 pi - theta_min)."""
+    if not 0.0 < theta_min < np.pi:
+        raise ValueError("theta_min must lie in (0, pi)")
+    # the excluded region around the identity is symmetric: angles within
+    # theta_min of a full turn are just as trivial as small ones
+    return fit_density(kde, data, rotation_family(theta_min, 2.0 * np.pi - theta_min))
 
 
 def rotation_generator(angle: float) -> np.ndarray:

@@ -342,6 +342,7 @@ def kde_fit(
     return KdeModel(data, weights, h)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused at the end
 def _kernel_sums(
     model: KdeModel, points: np.ndarray, want_gradient: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -385,11 +386,10 @@ def _kernel_sums(
             # from the uncentred coordinates, whose differences are exact
             # for near pairs; a far pair's exponent may overflow to -inf
             K[...] = 0.0
-            with np.errstate(over="ignore"):
-                for axis in range(model.dimension):
-                    D = np.subtract.outer(points[blk, axis], model.centers[:, axis])
-                    K += D * D
-                K /= -2.0 * h2
+            for axis in range(model.dimension):
+                D = np.subtract.outer(points[blk, axis], model.centers[:, axis])
+                K += D * D
+            K /= -2.0 * h2
         else:
             np.matmul(lhs[blk], rhs, out=K)
         np.exp(np.minimum(K, 0.0, out=K), out=K)

@@ -584,6 +584,91 @@ def test_discrete_user_linear_bad_entries_fail(tmp_path, monkeypatch,
     assert not (tmp_path / "r.json").exists()
 
 
+def _kde_inputs(tmp_path, monkeypatch):
+    """d.csv holding four-fold blobs, their KDE kde.json, a scalar model
+    f.json and a reference generator ref.json, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(6)
+    centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    data = centers[rng.integers(0, 4, 400)] + 0.1 * rng.standard_normal((400, 2))
+    write_csv("d.csv", data)
+    save_model(sf.kde_fit(data), "kde.json")
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0}),
+               "f.json")
+    save_json({"matrix": [[0, 1, 0], [-1, 0, 0], [0, 0, 1]]}, "ref.json")
+    return read_csv("d.csv")[0]
+
+
+def test_discrete_fits_a_reflection_to_a_kde(tmp_path, monkeypatch):
+    # a KDE model was taken by density-rotation alone; reflection exited 2
+    data = _kde_inputs(tmp_path, monkeypatch)
+    assert run("discrete", "--model", "kde.json", "--data", "d.csv",
+               "--family", "reflection", "--out", "r.json") == 0
+    want = sf.fit_density(load_model("kde.json"), data, sf.reflection_family())
+    assert load_json("r.json") == want.to_dict()
+
+
+def test_density_rotation_is_the_rotation_family_on_a_kde(tmp_path, monkeypatch):
+    _kde_inputs(tmp_path, monkeypatch)
+    common = ["discrete", "--model", "kde.json", "--data", "d.csv"]
+    assert run(*common, "--family", "density-rotation", "--theta-min", "0.5",
+               "--out", "density.json") == 0
+    assert run(*common, "--family", "rotation", "--lo", "0.5",
+               "--hi", repr(2 * np.pi - 0.5), "--out", "rotation.json") == 0
+    assert (tmp_path / "density.json").read_bytes() == (
+        tmp_path / "rotation.json").read_bytes()
+
+
+def test_discrete_refuses_a_family_that_leaves_the_density_table(
+        tmp_path, monkeypatch, capsys):
+    _kde_inputs(tmp_path, monkeypatch)
+    scale = _tree("add", 1, {"param": 0})
+    save_json({"entries": [[scale, 0], [0, scale]]}, "entries.json")
+    assert run("discrete", "--model", "kde.json", "--data", "d.csv",
+               "--family", "user-linear", "--entries", "entries.json",
+               "--lo", "0.1", "--hi", "1", "--out", "r.json") == 2
+    assert "density table" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_density_rotation_needs_a_kde(tmp_path, monkeypatch):
+    _kde_inputs(tmp_path, monkeypatch)
+    assert run("discrete", "--model", "f.json", "--data", "d.csv",
+               "--family", "density-rotation", "--out", "r.json") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_density_rotation_scores_its_generator_against_a_reference(
+        tmp_path, monkeypatch):
+    _kde_inputs(tmp_path, monkeypatch)
+    assert run("discrete", "--model", "kde.json", "--data", "d.csv",
+               "--family", "density-rotation", "--reference", "ref.json",
+               "--out", "r.json") == 0
+    out = load_json("r.json")
+    assert out["generator_similarity"] == sf.similarity_matrix(
+        out["parameters"][0], np.array(load_json("ref.json")["matrix"]))
+
+
+@pytest.mark.parametrize("model", ["f.json", "kde.json"])
+@pytest.mark.parametrize("family", [
+    ["reflection"], ["rotation", "--lo", "1", "--hi", "3"],
+    ["user-linear", "--entries", "entries.json", "--lo", "1", "--hi", "3"],
+])
+def test_reference_with_another_family_fails(tmp_path, monkeypatch, model,
+                                             family):
+    # --reference scores a density rotation's angle; with any other family
+    # it was dropped and the command exited 0 without generator_similarity
+    _kde_inputs(tmp_path, monkeypatch)
+    a = {"param": 0}
+    save_json({"entries": [[_tree("cos", a), _tree("sin", a)],
+                           [_tree("neg", _tree("sin", a)), _tree("cos", a)]]},
+              "entries.json")
+    assert run("discrete", "--model", model, "--data", "d.csv",
+               "--family", *family, "--reference", "ref.json",
+               "--out", "r.json") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["sim", "--truth", "f.json", "--estimate", "vf.json", "--data", "d.csv"],
     ["sim", "--truth", "vf.json", "--estimate", "f.json", "--data", "d.csv"],
@@ -1072,7 +1157,7 @@ FUZZ_COMMANDS = {
                  ("--hi", None, "float"), ("--theta-min", "0.5", "float"),
                  ("--entries", "entries.json", "entries"),
                  ("--n-params", "1", "count"),
-                 ("--reference", "ref.json", "reference"),
+                 ("--reference", None, "reference"),
                  ("--opt-config", "opt.json", "opt"), ("--out", "out.json", None)],
     "pullback": [("--source", "d.csv", "csv"), ("--image", "d.csv", "csv"),
                  ("--degree", "1", "count"), ("--point", "0,0", "vector"),

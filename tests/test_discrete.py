@@ -7,7 +7,7 @@ import symfield as sf
 from conftest import einsum_table_reader, poly_model
 from symfield import discrete, model_fit
 from symfield.discrete import (
-    eval_expression,
+    fit_density,
     fit_density_rotation,
     fit_discrete,
     generator_cosine,
@@ -20,6 +20,7 @@ from symfield.discrete import (
     _STARTS,
     _angle_search,
     _brent,
+    _evaluate,
     _refine,
     _residual_losses,
 )
@@ -101,23 +102,32 @@ def test_final_loss_recomputes():
     assert result.final_loss == pytest.approx(again, rel=1e-12)
 
 
+def _tree_values(tree, P):
+    """tree's value at each row of P, the (1, 1) entry of a one-entry family
+    (an interval family, so P is not normalised)."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    family = user_linear_family([[tree]], P.shape[1], "interval", (-10.0, 10.0))
+    return family.matrix(P)[:, 0, 0]
+
+
 def test_expression_trees():
-    assert eval_expression({"op": "add", "args": [{"const": 1}, {"param": 0}]},
-                           np.array([2.0])) == 3.0
-    assert eval_expression(
+    assert _tree_values({"op": "add", "args": [{"const": 1}, {"param": 0}]},
+                        [2.0]) == 3.0
+    assert _tree_values(
         {"op": "mul", "args": [{"op": "cos", "args": [{"param": 0}]},
-                               {"const": 2}]}, np.array([0.0])) == 2.0
-    assert eval_expression({"op": "pow", "args": [{"param": 0}],
-                            "exponent": 3}, np.array([2.0])) == 8.0
+                               {"const": 2}]}, [0.0]) == 2.0
+    assert _tree_values({"op": "pow", "args": [{"param": 0}],
+                         "exponent": 3}, [2.0]) == 8.0
     # an empty sum or product, which _check_expression accepts, is 0 or 1
-    assert eval_expression({"op": "add", "args": []}, np.array([2.0])) == 0.0
-    assert eval_expression({"op": "mul"}, np.array([2.0])) == 1.0
-    assert eval_expression({"op": "add", "args": []},
-                           np.ones((3, 1))).tolist() == [0.0] * 3
-    assert eval_expression({"op": "mul", "args": []},
-                           np.ones((3, 1))).tolist() == [1.0] * 3
-    with pytest.raises(ValueError):
-        eval_expression({"op": "exp", "args": []}, np.array([]))
+    assert _tree_values({"op": "add", "args": []}, [2.0]) == 0.0
+    assert _tree_values({"op": "mul"}, [2.0]) == 1.0
+    assert _tree_values({"op": "add", "args": []},
+                        np.ones((3, 1))).tolist() == [0.0] * 3
+    assert _tree_values({"op": "mul", "args": []},
+                        np.ones((3, 1))).tolist() == [1.0] * 3
+    for evaluate in (_tree_values, _evaluate):
+        with pytest.raises(ValueError, match="unknown expression op"):
+            evaluate({"op": "exp", "args": []}, np.array([2.0]))
 
 
 def test_user_linear_family_rotation_entries():
@@ -256,6 +266,7 @@ def test_density_rotation_refuses_data_whose_radius_overflows():
         fit_density_rotation(kde_fit(data), 1.5e308 * np.sign(data), 0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_density_rotation_refuses_a_density_that_is_zero_everywhere():
     # points at +-1e300 lie where the density of standard-normal centres is
     # 0, so is every turn of them, and every angle had loss 0
@@ -263,6 +274,39 @@ def test_density_rotation_refuses_a_density_that_is_zero_everywhere():
     kde = model_fit.KdeModel(data, np.ones(12), 0.5)
     with pytest.raises(FloatingPointError, match="no angle is singled out"):
         fit_density_rotation(kde, 1e300 * np.sign(data), 0.5)
+
+
+def _mirror_line_degrees(p):
+    """Direction in [0, 180) of the line a x + b y = 0, p = (a, b)."""
+    return math.degrees(math.atan2(-p[0], p[1])) % 180.0
+
+
+def test_density_reflection_finds_the_mirror_lines():
+    # a reflection keeps |x|, so the density table covers every image.  The
+    # square blobs have mirror lines every 45 degrees; the ellipse centred
+    # on (1, 0) has only the x-axis.  Over ten seeds each the lines lay
+    # 0.01-0.45 and 0.12-1.40 degrees off (sampling error); here 0.34 and 0.53
+    rng = np.random.default_rng(6)
+    centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    square = (centers[rng.integers(0, 4, 1200)]
+              + 0.1 * rng.standard_normal((1200, 2)))
+    ellipse = ([1.0, 0.0] + np.random.default_rng(0).standard_normal((1000, 2))
+               * [0.6, 0.25])
+    for data, spacing in ((square, 45.0), (ellipse, 180.0)):
+        result = fit_density(kde_fit(data), data, reflection_family())
+        off = _mirror_line_degrees(result.parameters) % spacing
+        assert min(off, spacing - off) <= 1.0
+
+
+def test_density_fit_refuses_a_family_that_leaves_the_table():
+    # x -> (1 + p) x moves every point off the disc of the data's radius,
+    # where the table read would be clipped
+    data = np.random.default_rng(0).standard_normal((200, 2))
+    p = {"param": 0}
+    scale = {"op": "add", "args": [1, p]}
+    family = user_linear_family([[scale, 0], [0, scale]], 1, "interval", (0.1, 1.0))
+    with pytest.raises(ValueError, match="density table"):
+        fit_density(kde_fit(data), data, family)
 
 
 def test_rotation_generator_and_similarity():
@@ -772,8 +816,8 @@ def test_stacked_matrix_and_expressions_equal_per_row(entries, n_params):
             assert np.array_equal(M[k], family.matrix(P[k]))
     for row in entries:
         for tree in row:
-            values = eval_expression(tree, P)
+            values = _evaluate(tree, P.T)
             assert values.shape == (7,)
             assert [float(v) for v in values] == [
-                eval_expression(tree, P[k]) for k in range(7)]
-    assert eval_expression(2.5, P).tolist() == [2.5] * 7
+                float(_evaluate(tree, P[k])) for k in range(7)]
+    assert _tree_values(2.5, P).tolist() == [2.5] * 7

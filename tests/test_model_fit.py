@@ -585,6 +585,7 @@ def test_kde_refuses_a_bandwidth_whose_square_is_not_a_finite_normal_number(
         kde_fit(np.zeros((3, 2)), bandwidth=bandwidth)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("centre_scale, query_scale", [(1e155, None), (1e100, 1e300)])
 def test_kernel_sums_refuse_an_exponent_that_overflows(centre_scale, query_scale):
     # |c|^2 / (2 h^2) past the float range, or p . c past it, made inf - inf:
