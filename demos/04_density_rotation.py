@@ -8,11 +8,7 @@ recovers 2*pi/7 without ever seeing the sector structure directly.
 import numpy as np
 
 import symfield as sf
-from symfield.discrete import (
-    fit_density_rotation,
-    rotation_generator,
-    similarity_matrix,
-)
+from symfield.discrete import fit_density_rotation
 from symfield.model_fit import kde_fit
 
 data, targets = sf.generate(sf.GeneratorSpec("disc-rot", 1000, 3))
@@ -25,9 +21,3 @@ print(f"fitted rotation angle: {theta:.4f}")
 print(f"2*pi/7             : {2 * np.pi / 7:.4f}")
 print(f"density-matching loss: {result.final_loss:.2e}")
 print(f"boundary of the excluded region active: {result.excluded_region_active}")
-
-reference = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-print("\ninduced generator (theta * reference rotation):")
-print(np.round(rotation_generator(theta), 4))
-print(f"generator similarity vs the reference: "
-      f"{similarity_matrix(theta, reference):.4f}")

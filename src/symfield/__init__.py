@@ -16,11 +16,8 @@ from .discrete import (
     fit_density,
     fit_density_rotation,
     fit_discrete,
-    generator_cosine,
     reflection_family,
     rotation_family,
-    rotation_generator,
-    similarity_matrix,
     user_linear_family,
 )
 from .features import (

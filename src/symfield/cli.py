@@ -189,8 +189,9 @@ def cmd_fit_kde(args) -> None:
     if args.weights == "target":
         if targets is None:
             raise ValueError("--weights target needs a target column")
-        weights = targets**args.weight_power
-        weights = weights / weights.sum()
+        with np.errstate(all="ignore"):  # KdeModel refuses weights that are not finite
+            weights = targets**args.weight_power
+            weights = weights / weights.sum()
     save_model(model_fit.kde_fit(data, weights, args.bandwidth), args.out)
 
 
@@ -225,8 +226,11 @@ def cmd_find_invariants(args) -> None:
         "final_loss": trace.final_loss,
     }
     if len(models) > 1:
+        if len(data) < 2:  # np.corrcoef warns on one row; errstate cannot silence it
+            raise ValueError("value correlations need at least two rows")
         values = np.column_stack([m(data) for m in models])
-        out["value_correlations"] = np.corrcoef(values.T).tolist()
+        with np.errstate(divide="ignore", invalid="ignore"):  # save_json refuses NaN
+            out["value_correlations"] = np.corrcoef(values.T).tolist()
     save_json(out, args.out)
 
 
@@ -269,8 +273,6 @@ def cmd_discrete(args) -> None:
     density = args.family == "density-rotation"
     kinds = (KdeModel,) if density else (ScalarFunctionModel, KdeModel)
     model = _load_model(args.model, *kinds)
-    if args.reference and not density:
-        raise ValueError("--reference scores only a density-rotation fit")
     if density:
         result = discrete.fit_density_rotation(model, data, args.theta_min)
     else:
@@ -288,12 +290,7 @@ def cmd_discrete(args) -> None:
         result = (discrete.fit_density(model, data, family)
                   if isinstance(model, KdeModel)
                   else discrete.fit_discrete(model, data, family, _opt_config(args)))
-    out = result.to_dict()
-    if args.reference:
-        ref = np.array(_load_member(args.reference, "matrix"), dtype=float)
-        out["generator_similarity"] = discrete.similarity_matrix(
-            result.parameters[0], ref)
-    save_json(out, args.out)
+    save_json(result.to_dict(), args.out)
 
 
 def cmd_pullback(args) -> None:
@@ -340,10 +337,11 @@ def cmd_grid(args) -> None:
             for lo, hi in zip(box.lower, box.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    if isinstance(model, KdeModel):
-        values = model_fit.kde_eval(model, points)
-    else:
-        values = model(points)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _write_table
+        if isinstance(model, KdeModel):
+            values = model_fit.kde_eval(model, points)
+        else:
+            values = model(points)
     values = values.reshape(len(points), -1)  # one column per output
     k = values.shape[1]
     header = [f"x{i + 1}" for i in range(points.shape[1])] + (
@@ -472,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entries", default=None,
                    help="user-linear matrix entries JSON")
     p.add_argument("--n-params", type=int, default=1)
-    p.add_argument("--reference", default=None,
-                   help="reference generator JSON for similarity scoring")
     p.add_argument("--out", required=True)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_discrete)

@@ -4,22 +4,24 @@ Fits the parameters of a transformation family so that a fitted function (or
 an estimated density) is preserved.  Every family, the built-in reflection
 about a line through the origin and planar rotation by a fixed angle
 included, is an n x n matrix of expression trees over its parameters under a
-unit-norm or an interval constraint.  A unit-norm family is evaluated at
-p/|p|; for an even one, M(-p) = M(p), fit_discrete reports p with its largest
-entry positive.  fit_discrete's _angle_search scores an angle on a coarse
-grid, refines every grid minimum by Brent's bounded minimisation and takes
-the smallest angle of comparable refined loss; it runs along one line of
-the parameter set at a time (a coordinate of an interval family, a turn in
-one coordinate plane of a unit-norm family) and sweeps the lines until the
-parameters stop moving.  A unit-norm fit of three or more parameters starts
-at the best of a fixed set of unit vectors and ends each sweep with a turn
-along the great circle that the sweep moved on.  The Brent runs of one line
-advance in lockstep, so each step of all of them is one set of angles, and
-every set of angles, the grid's or a step's, is scored by one blocked
-scorer: stacked calls of f, each on at most _BLOCK_POINTS transformed
-points.  fit_density fits a planar family to an estimated density: it is
-fit_discrete under the mean-absolute loss, with f the density read from a
-table, and fit_density_rotation is fit_density on a rotation family.
+unit-norm or an interval constraint; each tree is checked and compiled once,
+when the family is made, into a function of the parameter columns.  A
+unit-norm family is evaluated at p/|p|; for an even one, M(-p) = M(p),
+fit_discrete reports p with its largest entry positive.  fit_discrete's
+_angle_search scores an angle on a coarse grid, refines every grid minimum by
+Brent's bounded minimisation and takes the smallest angle of comparable
+refined loss; it runs along one line of the parameter set at a time (a
+coordinate of an interval family, a turn in one coordinate plane of a
+unit-norm family) and sweeps the lines until the parameters stop moving.  A
+unit-norm fit of three or more parameters starts at the best of a fixed set
+of unit vectors and ends each sweep with a turn along the great circle that
+the sweep moved on.  The Brent runs of one line advance in lockstep, so each
+step of all of them is one set of angles, and every set of angles, the grid's
+or a step's, is scored by one blocked scorer: stacked calls of f, each on at
+most _BLOCK_POINTS transformed points.  fit_density fits a planar family to
+an estimated density: it is fit_discrete under the mean-absolute loss, with f
+the density read from a table, and fit_density_rotation is fit_density on a
+rotation family.
 """
 
 from __future__ import annotations
@@ -43,33 +45,7 @@ __all__ = [
     "fit_discrete",
     "fit_density",
     "fit_density_rotation",
-    "rotation_generator",
-    "generator_cosine",
-    "similarity_matrix",
 ]
-
-
-def _evaluate(tree, columns):
-    """tree's value at each parameter vector, with columns[i] holding
-    parameter i's values; a float where tree reads no parameter."""
-    if not isinstance(tree, dict):
-        return float(tree)
-    if "param" in tree:
-        return columns[tree["param"]]
-    if "const" in tree:
-        return float(tree["const"])
-    op = tree["op"]
-    args = [_evaluate(a, columns) for a in tree.get("args", [])]
-    # left-to-right folds, so a row's value never depends on the stack size
-    if op == "add":
-        return reduce(np.add, args) if args else 0.0
-    if op == "mul":
-        return reduce(np.multiply, args) if args else 1.0
-    if op in _FUNCTIONS:
-        return _FUNCTIONS[op](args[0])
-    if op == "pow":
-        return args[0] ** int(tree["exponent"])
-    raise ValueError(f"unknown expression op {op!r}")
 
 
 _FUNCTIONS = {"neg": np.negative, "sin": np.sin, "cos": np.cos}
@@ -80,23 +56,29 @@ def _is_number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _check_expression(tree, n_params: int) -> None:
-    """Raise ValueError unless _evaluate can evaluate tree at n_params
-    parameters."""
+def _compile(tree, n_params: int):
+    """tree as a function of the parameter columns, columns[i] holding
+    parameter i's values: its value at each parameter vector, a float where
+    tree reads no parameter.  Raises ValueError on a malformed tree: a node
+    is a number or an object holding exactly one of const, param and op."""
     if _is_number(tree):
-        return
+        tree = {"const": tree}
     if not isinstance(tree, dict):
         raise ValueError(f"expression node {tree!r} is not a number or an object")
+    if sum(key in tree for key in ("const", "param", "op")) > 1:
+        raise ValueError(
+            f"expression node {tree!r} holds more than one of const, param and op")
     if "const" in tree:
         if not _is_number(tree["const"]):
             raise ValueError(f"const {tree['const']!r} is not a number")
-        return
+        value = float(tree["const"])
+        return lambda columns: value
     if "param" in tree:
-        if not (_is_number(tree["param"], int) and 0 <= tree["param"] < n_params):
+        index = tree["param"]
+        if not (_is_number(index, int) and 0 <= index < n_params):
             raise ValueError(
-                f"param index {tree['param']!r} is not an integer in [0, {n_params})"
-            )
-        return
+                f"param index {index!r} is not an integer in [0, {n_params})")
+        return lambda columns: columns[index]
     op = tree.get("op")
     if op not in ("add", "mul") + _UNARY_OPS:
         raise ValueError(f"unknown expression op {op!r}")
@@ -105,8 +87,18 @@ def _check_expression(tree, n_params: int) -> None:
         raise ValueError(f"op {op!r} has arguments {args!r}")
     if op == "pow" and not _is_number(tree.get("exponent"), int):
         raise ValueError("pow needs an integer exponent")
-    for arg in args:
-        _check_expression(arg, n_params)
+    parts = [_compile(arg, n_params) for arg in args]
+    # left-to-right folds, so a row's value never depends on the stack size
+    if op in ("add", "mul"):
+        fold, empty = (np.add, 0.0) if op == "add" else (np.multiply, 1.0)
+        return lambda columns: (reduce(fold, [part(columns) for part in parts])
+                                if parts else empty)
+    (part,) = parts
+    if op == "pow":
+        exponent = int(tree["exponent"])
+        return lambda columns: part(columns) ** exponent
+    function = _FUNCTIONS[op]
+    return lambda columns: function(part(columns))
 
 
 @dataclass
@@ -134,9 +126,8 @@ class ParametricFamily:
                 and all(isinstance(row, list) and len(row) == len(self.entries)
                         for row in self.entries)):
             raise ValueError("entries must be a non-empty n x n list of lists")
-        for row in self.entries:
-            for tree in row:
-                _check_expression(tree, self.n_params)
+        self._compiled = [[_compile(tree, self.n_params) for tree in row]
+                          for row in self.entries]
 
     @property
     def dimension(self) -> int:
@@ -151,9 +142,9 @@ class ParametricFamily:
         if self.constraint == "unit-norm":  # np.linalg.norm's sum, bit for bit
             P = P / np.sqrt(np.add.reduce(P * P, axis=1, keepdims=True))
         M = np.empty((len(P), self.dimension, self.dimension))
-        for i, row in enumerate(self.entries):
-            for j, tree in enumerate(row):
-                M[:, i, j] = _evaluate(tree, P.T)
+        for i, row in enumerate(self._compiled):
+            for j, entry in enumerate(row):
+                M[:, i, j] = entry(P.T)
         if not np.all(np.isfinite(M)):
             raise ValueError("family matrix is not finite")
         return M
@@ -472,31 +463,3 @@ def fit_density_rotation(
     # the excluded region around the identity is symmetric: angles within
     # theta_min of a full turn are just as trivial as small ones
     return fit_density(kde, data, rotation_family(theta_min, 2.0 * np.pi - theta_min))
-
-
-def rotation_generator(angle: float) -> np.ndarray:
-    """Homogeneous one-parameter generator of the fitted planar rotation.
-
-    Direction of the subgroup through the fitted rotation, with the
-    homogeneous slot advancing at the same rate as the rotation angle.
-    """
-    return float(angle) * np.array(
-        [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    )
-
-
-def generator_cosine(A: np.ndarray, B: np.ndarray) -> float:
-    """|cosine| of two generator matrices flattened to vectors."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise ValueError("matrices must be finite")
-    na, nb = np.linalg.norm(A), np.linalg.norm(B)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cannot compare against a zero matrix")
-    return float(abs(np.sum(A * B)) / (na * nb))
-
-
-def similarity_matrix(angle: float, reference: np.ndarray) -> float:
-    """|cosine| between the fitted-angle generator and a reference matrix."""
-    return generator_cosine(rotation_generator(angle), reference)

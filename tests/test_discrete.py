@@ -10,17 +10,14 @@ from symfield.discrete import (
     fit_density,
     fit_density_rotation,
     fit_discrete,
-    generator_cosine,
     reflection_family,
     rotation_family,
-    rotation_generator,
-    similarity_matrix,
     user_linear_family,
     _BLOCK_POINTS,
     _STARTS,
     _angle_search,
     _brent,
-    _evaluate,
+    _compile,
     _refine,
     _residual_losses,
 )
@@ -28,8 +25,6 @@ from symfield.features import monomial_basis
 from symfield.model_fit import kde_eval, kde_fit
 
 CFG = sf.OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.05, 400)
-
-ROTATION_REFERENCE = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_reflection_involution():
@@ -118,14 +113,14 @@ def test_expression_trees():
                                {"const": 2}]}, [0.0]) == 2.0
     assert _tree_values({"op": "pow", "args": [{"param": 0}],
                          "exponent": 3}, [2.0]) == 8.0
-    # an empty sum or product, which _check_expression accepts, is 0 or 1
+    # an empty sum or product, which _compile accepts, is 0 or 1
     assert _tree_values({"op": "add", "args": []}, [2.0]) == 0.0
     assert _tree_values({"op": "mul"}, [2.0]) == 1.0
     assert _tree_values({"op": "add", "args": []},
                         np.ones((3, 1))).tolist() == [0.0] * 3
     assert _tree_values({"op": "mul", "args": []},
                         np.ones((3, 1))).tolist() == [1.0] * 3
-    for evaluate in (_tree_values, _evaluate):
+    for evaluate in (_tree_values, lambda tree, P: _compile(tree, 1)(P)):
         with pytest.raises(ValueError, match="unknown expression op"):
             evaluate({"op": "exp", "args": []}, np.array([2.0]))
 
@@ -309,31 +304,6 @@ def test_density_fit_refuses_a_family_that_leaves_the_table():
         fit_density(kde_fit(data), data, family)
 
 
-def test_rotation_generator_and_similarity():
-    theta = 2 * np.pi / 7
-    assert similarity_matrix(theta, ROTATION_REFERENCE) == pytest.approx(1.0)
-    assert similarity_matrix(theta, -ROTATION_REFERENCE) == pytest.approx(1.0)
-    G = rotation_generator(theta)
-    assert np.allclose(G, theta * ROTATION_REFERENCE)
-
-
-def test_generator_cosine_mismatched_generators():
-    # a genuinely different generator scores poorly against the reference
-    obtained = np.array([
-        [-0.0869, -0.0244, 0.1371],
-        [0.2666, -0.4993, -0.4303],
-        [0.0841, 0.1345, 0.0377],
-    ])
-    assert generator_cosine(ROTATION_REFERENCE, obtained) == pytest.approx(
-        0.1956, abs=5e-5
-    )
-
-
-def test_generator_cosine_zero_reference_rejected():
-    with pytest.raises(ValueError):
-        similarity_matrix(1.0, np.zeros((3, 3)))
-
-
 def test_family_validation():
     with pytest.raises(ValueError):
         rotation_family(2.0, 1.0)
@@ -374,6 +344,9 @@ def test_interval_family_needs_finite_ordered_bounds(interval):
     ({"entries": [[1, 0], [0, 1]]}, 1),
     ("[[1, 0], [0, 1]]", 1),
     ([[1, 0], [0, 1]], 0),  # no parameters
+    # a node of more than one kind: the evaluator read parameter 5 of 1
+    ([[{"const": 1, "param": 5}, 0], [0, 1]], 1),
+    ([[{"param": 0, "op": "neg", "args": [1]}, 0], [0, 1]], 1),
 ])
 def test_user_linear_family_rejects_bad_entries(entries, n_params):
     with pytest.raises(ValueError):
@@ -816,8 +789,9 @@ def test_stacked_matrix_and_expressions_equal_per_row(entries, n_params):
             assert np.array_equal(M[k], family.matrix(P[k]))
     for row in entries:
         for tree in row:
-            values = _evaluate(tree, P.T)
+            entry = _compile(tree, n_params)
+            values = entry(P.T)
             assert values.shape == (7,)
             assert [float(v) for v in values] == [
-                float(_evaluate(tree, P[k])) for k in range(7)]
+                float(entry(P[k])) for k in range(7)]
     assert _tree_values(2.5, P).tolist() == [2.5] * 7
