@@ -926,6 +926,9 @@ def _malformed_model_files():
      "--data", "d.csv"],
     ["fit-levelset", "--data", "d.csv", "--strategy", "extend-columns",
      "--known", "basis5.json"],
+    # discrete reads its model through the same checked loader
+    ["discrete", "--model", "components.json", "--data", "d.csv",
+     "--family", "reflection"],
     ["find-vf", "--model", "nan_levelset.json", "--data", "d.csv"],
 ])
 def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
