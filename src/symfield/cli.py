@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 validation error (a malformed vector or --param is a
 usage error; an output that would hold NaN is refused), 3 numerical failure
 (a non-finite similarity or memory exhaustion, say).  Any option takes a
 negative value after a space; SYMFIELD_SEED overrides every configured seed.
+main turns numpy's floating-point warnings off, even under -W error, so an
+overflow or a 0/0 warns nothing and the refusals above set the exit code.
 """
 
 from __future__ import annotations
@@ -189,9 +191,8 @@ def cmd_fit_kde(args) -> None:
     if args.weights == "target":
         if targets is None:
             raise ValueError("--weights target needs a target column")
-        with np.errstate(all="ignore"):  # KdeModel refuses weights that are not finite
-            weights = targets**args.weight_power
-            weights = weights / weights.sum()
+        weights = targets**args.weight_power
+        weights = weights / weights.sum()
     save_model(model_fit.kde_fit(data, weights, args.bandwidth), args.out)
 
 
@@ -229,8 +230,7 @@ def cmd_find_invariants(args) -> None:
         if len(data) < 2:  # np.corrcoef warns on one row; errstate cannot silence it
             raise ValueError("value correlations need at least two rows")
         values = np.column_stack([m(data) for m in models])
-        with np.errstate(divide="ignore", invalid="ignore"):  # save_json refuses NaN
-            out["value_correlations"] = np.corrcoef(values.T).tolist()
+        out["value_correlations"] = np.corrcoef(values.T).tolist()
     save_json(out, args.out)
 
 
@@ -337,11 +337,10 @@ def cmd_grid(args) -> None:
             for lo, hi in zip(box.lower, box.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _write_table
-        if isinstance(model, KdeModel):
-            values = model_fit.kde_eval(model, points)
-        else:
-            values = model(points)
+    if isinstance(model, KdeModel):
+        values = model_fit.kde_eval(model, points)
+    else:
+        values = model(points)
     values = values.reshape(len(points), -1)  # one column per output
     k = values.shape[1]
     header = [f"x{i + 1}" for i in range(points.shape[1])] + (
@@ -519,7 +518,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_values(argv))
     try:
-        args.func(args)
+        with np.errstate(all="ignore"):  # the refusals below set the exit code
+            args.func(args)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

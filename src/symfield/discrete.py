@@ -349,6 +349,8 @@ def fit_discrete(
     if data.shape[1] != family.dimension:
         raise ValueError("family dimension does not match data")
     base = f(data)
+    if not np.all(np.isfinite(base)):
+        raise ValueError("the model is not finite at the data")
     per_call = max(1, _BLOCK_POINTS // len(data))
 
     def losses(P):

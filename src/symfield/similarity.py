@@ -132,7 +132,6 @@ def _monomial_box_integral(exps, domain: IntegrationDomain) -> float:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # similarity refuses non-finite
 def _poly_inner(f: dict, g: dict, domain: IntegrationDomain) -> float:
     total = 0.0
     for ef, cf in f.items():
@@ -203,12 +202,11 @@ def similarity(
     elif method == "monte-carlo":
         rng = np.random.default_rng(mc_seed)
         S = rng.uniform(domain.lower, domain.upper, size=(mc_samples, n))
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            fv = _component_values(f, S)
-            gv = _component_values(g, S)
-            inner = np.mean(fv * gv, axis=0)
-            norm_f = np.sqrt(np.mean(fv * fv, axis=0))
-            norm_g = np.sqrt(np.mean(gv * gv, axis=0))
+        fv = _component_values(f, S)
+        gv = _component_values(g, S)
+        inner = np.mean(fv * gv, axis=0)
+        norm_f = np.sqrt(np.mean(fv * fv, axis=0))
+        norm_g = np.sqrt(np.mean(gv * gv, axis=0))
     else:
         raise ValueError(f"unknown method {method!r}")
     if not np.all(np.isfinite([inner, norm_f, norm_g])):

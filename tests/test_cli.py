@@ -853,8 +853,18 @@ def test_flow_refuses_a_model_of_several_fields(tmp_path, monkeypatch, capsys):
     ["grid", "--model", "nan_kde.json", "--lower", "0,0", "--upper", "1,1"],
     ["discrete", "--model", "kde.json", "--data", "nan.csv",
      "--family", "density-rotation"],
+    # numpy warned on the way to each of the refusals below, and under
+    # warnings as errors they exited 1
+    ["transform", "--data", "huge.csv", "--invariants", "inv.json"],
+    ["transform", "--data", "huge.csv", "--flow-param", "sq.json"],
+    ["fit-levelset", "--data", "huge.csv", "--k", "1"],
+    ["fit-levelset", "--data", "huge.csv", "--k", "1", "--opt-config", "mae.json"],
+    ["discrete", "--model", "sq.json", "--data", "huge.csv", "--family", "reflection"],
+    ["discrete", "--model", "sq.json", "--data", "d.csv", "--family", "user-linear",
+     "--n-params", "2", "--entries", "recip.json"],
+    ["fit-kde", "--data", "huge.csv"],
 ])
-def test_non_finite_numbers_fail(tmp_path, monkeypatch, command):
+def test_non_finite_numbers_fail(tmp_path, monkeypatch, capsys, command):
     # sim wrote "aggregate": NaN, which is not JSON; grid and fit-kde wrote NaN;
     # from a CSV cell, transform wrote a nan angle, fit-kde a nan centre, grid
     # all-nan densities and density rotation "final_loss": NaN
@@ -872,9 +882,19 @@ def test_non_finite_numbers_fail(tmp_path, monkeypatch, command):
     for bad in ("nan", "inf"):
         (tmp_path / f"{bad}.csv").write_text(
             (tmp_path / "d.csv").read_text().replace(repr(float(data[3, 1])), bad))
+    write_csv("huge.csv", 1e300 * data)
+    square = poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0})
+    save_model(square, "sq.json")
+    save_json({"type": "invariants", "models": [model_to_dict(square)]}, "inv.json")
+    save_json({"loss": "mean-absolute"}, "mae.json")
+    # 1 / b is infinite at the fit's start (1, 0)
+    save_json({"entries": [[{"op": "pow", "args": [{"param": 1}], "exponent": -1}, 0],
+                           [0, 1]]}, "recip.json")
     assert run(*command, "--out", "out.json") == 2
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "out.centers.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -97,6 +97,17 @@ def test_final_loss_recomputes():
     assert result.final_loss == pytest.approx(again, rel=1e-12)
 
 
+def test_fit_refuses_a_model_that_is_not_finite_at_the_data():
+    # x^2 + y^2 is not finite at 1e300, where every residual was NaN and the
+    # angle search raised "min() arg is an empty sequence"; errstate as in
+    # the CLI's main
+    data = 1e300 * np.random.default_rng(5).standard_normal((50, 2))
+    f = poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0})
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="model is not finite at the data"):
+        fit_discrete(f, data, reflection_family(), CFG)
+
+
 def _tree_values(tree, P):
     """tree's value at each row of P, the (1, 1) entry of a one-entry family
     (an interval family, so P is not normalised)."""
