@@ -138,8 +138,7 @@ def _elbow_fit(data, basis, args, config):
     trace = model_fit.select_components_elbow(
         data, basis, k_max, config, elbow_ratio=args.elbow_ratio
     )
-    model, _ = model_fit.fit_level_set(data, basis, trace.selected, config)
-    return model, trace.to_dict()
+    return trace.model, trace.to_dict()
 
 
 def cmd_fit_levelset(args) -> None:
@@ -269,27 +268,27 @@ def cmd_sim(args) -> None:
 
 
 def cmd_discrete(args) -> None:
+    bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
+    if args.family != "user-linear" and (args.entries, args.n_params) != (None, None):
+        raise ValueError(f"--family {args.family} reads no --entries or --n-params")
+    if args.family == "reflection" and bounds is not None:
+        raise ValueError("--family reflection reads no --lo or --hi")
     data, _ = read_csv(args.data)
-    density = args.family == "density-rotation"
-    kinds = (KdeModel,) if density else (ScalarFunctionModel, KdeModel)
-    model = _load_model(args.model, *kinds)
-    if density:
-        result = discrete.fit_density_rotation(model, data, args.theta_min)
+    model = _load_model(args.model, ScalarFunctionModel, KdeModel)
+    if args.family == "reflection":
+        family = discrete.reflection_family()
+    elif args.family == "rotation":
+        family = discrete.rotation_family(args.lo, args.hi)
     else:
-        if args.family == "reflection":
-            family = discrete.reflection_family()
-        elif args.family == "rotation":
-            family = discrete.rotation_family(args.lo, args.hi)
-        else:
-            if args.entries is None:
-                raise ValueError("user-linear needs --entries")
-            bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
-            family = discrete.user_linear_family(
-                _load_member(args.entries, "entries"), args.n_params,
-                "unit-norm" if bounds is None else "interval", bounds)
-        result = (discrete.fit_density(model, data, family)
-                  if isinstance(model, KdeModel)
-                  else discrete.fit_discrete(model, data, family, _opt_config(args)))
+        if args.entries is None:
+            raise ValueError("user-linear needs --entries")
+        family = discrete.user_linear_family(
+            _load_member(args.entries, "entries"),
+            1 if args.n_params is None else args.n_params,
+            "unit-norm" if bounds is None else "interval", bounds)
+    result = (discrete.fit_density(model, data, family)
+              if isinstance(model, KdeModel)
+              else discrete.fit_discrete(model, data, family, _opt_config(args)))
     save_json(result.to_dict(), args.out)
 
 
@@ -456,19 +455,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrete", help="fit a discrete parametric symmetry")
     p.add_argument("--model", required=True,
                    help="scalar model JSON, or KDE JSON (fitted under the "
-                   "mean-absolute loss; density-rotation takes only a KDE)")
+                   "mean-absolute loss)")
     p.add_argument("--data", required=True)
     p.add_argument(
         "--family",
-        choices=("reflection", "rotation", "user-linear", "density-rotation"),
+        choices=("reflection", "rotation", "user-linear"),
         required=True,
     )
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--theta-min", type=float, default=np.pi / 6)
     p.add_argument("--entries", default=None,
                    help="user-linear matrix entries JSON")
-    p.add_argument("--n-params", type=int, default=1)
+    p.add_argument("--n-params", type=int, default=None, help="default 1")
     p.add_argument("--out", required=True)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_discrete)

@@ -331,9 +331,9 @@ def fit_discrete(
     Coordinate descent with exact line searches (Wright 2015): each line
     through p is searched by _angle_search.  On an interval family p starts
     at the box midpoint and each line is one coordinate, on linspace(lo, hi,
-    _GRID + 2).  On a unit-norm family each line turns p by t in a
-    coordinate plane in which p has a component, with t on a grid one
-    spacing past both ends of [0, 2 pi].  With one parameter the better of
+    _GRID + 2).  On a unit-norm family each line turns p by t in one
+    coordinate plane, with t on a grid one spacing past both ends of
+    [0, 2 pi].  With one parameter the better of
     +-e0 is taken, with two p starts at e0, and with three or more p starts
     at the best of _STARTS fixed unit vectors (normalised Gaussian draws of
     seed 0), scored in one blocked call of the loss, and each sweep that
@@ -388,8 +388,6 @@ def fit_discrete(
     for _ in range(1 if len(lines) == 1 else _MAX_SWEEPS):
         start = p
         for line in lines:
-            if family.constraint == "unit-norm" and not p[list(line)].any():
-                continue
             t = _angle_search(
                 lambda ts: losses(np.array([moved(p, line, t) for t in ts])),
                 grid, _FIT_XATOL)

@@ -146,6 +146,7 @@ class ElbowTrace:
     losses: list = field(default_factory=list)  # (component_count, loss)
     selected: int = 0
     no_elbow: bool = False
+    model: LevelSetModel | None = field(default=None, compare=False)  # the fit at selected
 
     def to_dict(self) -> dict:
         return {
@@ -191,18 +192,20 @@ def select_components_elbow(
     """Pick the component count just before the first large loss jump."""
     if not (np.isfinite(elbow_ratio) and elbow_ratio > 0):
         raise ValueError("elbow_ratio must be finite and positive")
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got k_max={k_max}")
     trace = ElbowTrace()
-    losses = []
+    models, losses = [], []
     for k in range(1, k_max + 1):
-        _, loss = fit_level_set(data, basis, k, config)
+        model, loss = fit_level_set(data, basis, k, config)
+        models.append(model)
         losses.append(loss)
         trace.losses.append((k, loss))
-    for k in range(1, k_max):
-        if losses[k] / max(losses[k - 1], ELBOW_LOSS_FLOOR) > elbow_ratio:
-            trace.selected = k
-            return trace
-    trace.selected = k_max
-    trace.no_elbow = True
+    trace.selected = next(
+        (k for k in range(1, k_max)
+         if losses[k] / max(losses[k - 1], ELBOW_LOSS_FLOOR) > elbow_ratio), k_max)
+    trace.no_elbow = trace.selected == k_max
+    trace.model = models[trace.selected - 1]
     return trace
 
 

@@ -550,10 +550,48 @@ def test_discrete_interval_needs_finite_bounds(tmp_path, monkeypatch,
     save_json({"entries": [[{"op": "cos", "args": [{"param": 0}]}, 0],
                            [0, {"op": "cos", "args": [{"param": 0}]}]]},
               "entries.json")
+    entries = ["--entries", "entries.json"] if family == "user-linear" else []
     assert run("discrete", "--model", "f.json", "--data", "d.csv",
-               "--family", family, "--entries", "entries.json", *bounds,
-               "--out", "r.json") == 2
+               "--family", family, *entries, *bounds, "--out", "r.json") == 2
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("family,options", [
+    ("reflection", ["--lo", "0.1", "--hi", "0.2"]),
+    ("reflection", ["--hi", "0.2"]),
+    ("reflection", ["--n-params", "5"]),
+    ("reflection", ["--entries", "nonexist.json"]),
+    ("reflection", ["--theta-min", "9"]),
+    ("rotation", ["--lo", "1", "--hi", "3", "--n-params", "1"]),
+    ("rotation", ["--lo", "1", "--hi", "3", "--entries", "entries.json"]),
+])
+def test_discrete_refuses_an_option_its_family_does_not_read(
+        tmp_path, monkeypatch, family, options):
+    # each exited 0 and wrote the bytes the command wrote without the option
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
+    save_json({"entries": [[1, 0], [0, 1]]}, "entries.json")
+    try:
+        code = run("discrete", "--model", "f.json", "--data", "d.csv",
+                   "--family", family, *options, "--out", "r.json")
+    except SystemExit as exc:  # an option that no family reads
+        code = exc.code
+    assert code == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_user_linear_without_n_params_has_one_parameter(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
+    save_json({"entries": [[_tree("cos", {"param": 0}), 0], [0, 1]]}, "entries.json")
+    common = ["discrete", "--model", "f.json", "--data", "d.csv",
+              "--family", "user-linear", "--entries", "entries.json"]
+    assert run(*common, "--out", "default.json") == 0
+    assert run(*common, "--n-params", "1", "--out", "one.json") == 0
+    assert (tmp_path / "default.json").read_bytes() == (
+        tmp_path / "one.json").read_bytes()
 
 
 @pytest.mark.parametrize("entries,n_params", [
@@ -609,14 +647,14 @@ def test_discrete_fits_a_reflection_to_a_kde(tmp_path, monkeypatch):
 
 
 def test_density_rotation_is_the_rotation_family_on_a_kde(tmp_path, monkeypatch):
-    _kde_inputs(tmp_path, monkeypatch)
-    common = ["discrete", "--model", "kde.json", "--data", "d.csv"]
-    assert run(*common, "--family", "density-rotation", "--theta-min", "0.5",
-               "--out", "density.json") == 0
-    assert run(*common, "--family", "rotation", "--lo", "0.5",
-               "--hi", repr(2 * np.pi - 0.5), "--out", "rotation.json") == 0
-    assert (tmp_path / "density.json").read_bytes() == (
-        tmp_path / "rotation.json").read_bytes()
+    # a density rotation with excluded region 0.5 is the rotation family
+    # over (0.5, 2 pi - 0.5)
+    data = _kde_inputs(tmp_path, monkeypatch)
+    assert run("discrete", "--model", "kde.json", "--data", "d.csv",
+               "--family", "rotation", "--lo", "0.5",
+               "--hi", "5.783185307179586", "--out", "rotation.json") == 0
+    want = sf.fit_density_rotation(load_model("kde.json"), data, 0.5)
+    assert load_json("rotation.json") == want.to_dict()
 
 
 def test_discrete_refuses_a_family_that_leaves_the_density_table(
@@ -632,9 +670,13 @@ def test_discrete_refuses_a_family_that_leaves_the_density_table(
 
 
 def test_density_rotation_needs_a_kde(tmp_path, monkeypatch):
+    # density-rotation is no family of its own: rotation takes a KDE
     _kde_inputs(tmp_path, monkeypatch)
-    assert run("discrete", "--model", "f.json", "--data", "d.csv",
-               "--family", "density-rotation", "--out", "r.json") == 2
+    for model in ("f.json", "kde.json"):
+        with pytest.raises(SystemExit) as exit_:
+            run("discrete", "--model", model, "--data", "d.csv",
+                "--family", "density-rotation", "--out", "r.json")
+        assert exit_.value.code == 2
     assert not (tmp_path / "r.json").exists()
 
 
@@ -705,8 +747,8 @@ sys.exit(any(name.split(".")[0] == "scipy" for name in sys.modules))
       "--lo", "-2E-1", "--hi", "3"], "lo", -0.2),
     (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "rotation",
       "--lo", "-3", "--hi", "-1e-1"], "hi", -0.1),
-    (["discrete", "--model", "f.json", "--data", "d.csv",
-      "--family", "density-rotation", "--theta-min", "-.5e-2"], "theta_min", -5e-3),
+    (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "user-linear",
+      "--entries", "e.json", "--lo", "-.5e-2", "--hi", "1"], "lo", -5e-3),
     (["grid", "--model", "m.json", "--lower", "-1e-1,-1", "--upper", "1,1"],
      "lower", [-0.1, -1]),
     (["sim", "--truth", "a.json", "--estimate", "b.json", "--lower", "0,0",
@@ -852,7 +894,7 @@ def test_flow_refuses_a_model_of_several_fields(tmp_path, monkeypatch, capsys):
     ["fit-kde", "--data", "nan.csv", "--bandwidth", "0.5"],
     ["grid", "--model", "nan_kde.json", "--lower", "0,0", "--upper", "1,1"],
     ["discrete", "--model", "kde.json", "--data", "nan.csv",
-     "--family", "density-rotation"],
+     "--family", "rotation", "--lo", "0.5", "--hi", "5.78"],
     # numpy warned on the way to each of the refusals below, and under
     # warnings as errors they exited 1
     ["transform", "--data", "huge.csv", "--invariants", "inv.json"],
@@ -1105,8 +1147,7 @@ FUZZ_POOLS = {
                   "x", None],
     "name": [*sf.GENERATOR_NAMES, "bogus", None],
     "method": ["auto", "analytic", "monte-carlo", "bogus", None],
-    "family": ["reflection", "rotation", "user-linear", "density-rotation",
-               "bogus"],
+    "family": ["reflection", "rotation", "user-linear", "bogus"],
     "strategy": ["plain", "project-affine", "extend-columns", "bogus"],
     "weights": ["none", "target", "bogus"],
     "seed": ["3", "-1", "1.5", None],
@@ -1155,9 +1196,8 @@ FUZZ_COMMANDS = {
             ("--out", "out.json", None)],
     "discrete": [("--model", "f.json", "model"), ("--data", "d.csv", "csv"),
                  ("--family", "reflection", "family"), ("--lo", None, "float"),
-                 ("--hi", None, "float"), ("--theta-min", "0.5", "float"),
-                 ("--entries", "entries.json", "entries"),
-                 ("--n-params", "1", "count"),
+                 ("--hi", None, "float"), ("--entries", None, "entries"),
+                 ("--n-params", None, "count"),
                  ("--opt-config", "opt.json", "opt"), ("--out", "out.json", None)],
     "pullback": [("--source", "d.csv", "csv"), ("--image", "d.csv", "csv"),
                  ("--degree", "1", "count"), ("--point", "0,0", "vector"),
@@ -1331,7 +1371,7 @@ def test_density_rotation_on_a_narrow_kde_exits_0(fuzz_inputs, tmp_path):
     exits 0 with a valid result.  The fuzz rarely draws this command line."""
     shutil.copytree(fuzz_inputs, tmp_path, dirs_exist_ok=True)
     argv = ["discrete", "--model", str(tmp_path / "narrow_kde.json"),
-            "--data", str(tmp_path / "d.csv"), "--family", "density-rotation",
-            "--theta-min", "0.5", "--out", str(tmp_path / "out.json")]
+            "--data", str(tmp_path / "d.csv"), "--family", "rotation",
+            "--lo", "0.5", "--hi", "5.78", "--out", str(tmp_path / "out.json")]
     assert main(argv) == 0
     _check_outputs(str(tmp_path), os.listdir(fuzz_inputs), argv)

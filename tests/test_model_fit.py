@@ -151,6 +151,9 @@ def test_elbow_circle_selects_one():
     assert not trace.no_elbow
     assert trace.losses[0][1] <= 1e-8
     assert trace.losses[1][1] >= 1e-3
+    # the trace keeps the fit at the selected count, so no caller refits it
+    refit, _ = fit_level_set(data, monomial_basis(3, 1), 1, MSE())
+    assert np.array_equal(trace.model.W, refit.W)
 
 
 def test_elbow_scale_invariance():
@@ -166,6 +169,14 @@ def test_elbow_no_jump_flag():
     trace = select_components_elbow(data, monomial_basis(2, 1), 2, MSE(ep=500))
     assert trace.no_elbow
     assert trace.selected == 2
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_elbow_needs_at_least_one_component(k_max):
+    # 0 used to give a trace selecting 0 components
+    data, _ = sf.generate(sf.GeneratorSpec("circle3d", 50, 0))
+    with pytest.raises(ValueError, match="k_max"):
+        select_components_elbow(data, monomial_basis(3, 1), k_max, MSE())
 
 
 @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 0.0, -5.0])
