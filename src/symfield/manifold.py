@@ -3,16 +3,15 @@
 The constraint surface is the unit sphere when W has one column and the
 Stiefel manifold otherwise.  The mean-squared loss is solved in closed
 form: the q eigenvectors of A^T A with the smallest eigenvalues are a
-global optimum (Ky Fan).  The mean-absolute loss uses Riemannian gradient
-descent or a Riemannian Adagrad variant (per-entry squared gradient
-accumulator applied before tangent projection).  One column runs on the
-sphere as a vector and retracts by normalisation, which is the QR
-retraction for one column; more columns retract by QR.  Each epoch reads
-the residual r = A W column by column, from the transpose of A that the
-gradient A^T sign(r) uses, and takes the loss as sign(r) . r: W is the same
-as from a row-by-row product while no residual changes sign, but a trace's
-per-epoch losses can differ from sum |r| in the last bits.  Everything is
-full-batch and deterministic for a fixed seed.
+global optimum (Ky Fan).  The mean-absolute loss uses Riemannian Adagrad
+(per-entry squared gradient accumulator applied before tangent projection).
+One column runs on the sphere as a vector and retracts by normalisation,
+which is the QR retraction for one column; more columns retract by QR.
+Each epoch reads the residual r = A W column by column, from the transpose
+of A that the gradient A^T sign(r) uses, and takes the loss as sign(r) . r:
+W is the same as from a row-by-row product while no residual changes sign,
+but a trace's per-epoch losses can differ from sum |r| in the last bits.
+Everything is full-batch and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ __all__ = [
 ORTHONORMALITY_TOL = 1e-8
 # least squares drops sigma < LSTSQ_RCOND sigma_max: cond(A^T A) > 1e14 on A
 LSTSQ_RCOND = 1e-7
+# added to Adagrad's accumulator: the first step, from a zero sum, is finite
+ADAGRAD_EPSILON = 1e-10
 
 
 class RetractionSingularError(np.linalg.LinAlgError):
@@ -54,20 +55,20 @@ class DivergenceError(FloatingPointError):
 
 @dataclass
 class OptimizerConfig:
+    # one value; kept because callers pass it by position and bench writes it
     algorithm: str = "riemannian-adagrad"
     loss: str = "mean-absolute"
     learning_rate: float = 0.01
     epochs: int = 5000
     seed: int = 0
-    adagrad_epsilon: float = 1e-10
 
     def __post_init__(self):
-        if self.algorithm not in ("riemannian-sgd", "riemannian-adagrad"):
+        if self.algorithm != "riemannian-adagrad":
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.loss not in ("mean-absolute", "mean-squared"):
             raise ValueError(f"unknown loss {self.loss!r}")
         for name, kind in (("epochs", Integral), ("seed", Integral),
-                           ("learning_rate", Real), ("adagrad_epsilon", Real)):
+                           ("learning_rate", Real)):
             value = getattr(self, name)
             # bool is an Integral, but a JSON true is never a count or a rate
             if isinstance(value, bool) or not isinstance(value, kind):
@@ -76,8 +77,6 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not (math.isfinite(self.adagrad_epsilon) and self.adagrad_epsilon > 0):
-            raise ValueError("adagrad_epsilon must be finite and positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
@@ -139,11 +138,11 @@ def minimize(
     """Minimize loss(A W, 0) over p x q matrices with orthonormal columns.
 
     The mean-squared loss takes one eigensolve and reads only config.loss;
-    the mean-absolute loss runs config.epochs steps from a seeded start,
-    each reading A W column by column and taking sign(r) . r as the loss,
-    which can differ from sum |r| in the last bits.  A needs at least one
-    row.  Returns the sign-normalized solution and the loss trace; the
-    trace's final_loss is recomputed at the returned point.
+    the mean-absolute loss runs config.epochs Riemannian Adagrad steps from
+    a seeded start, each reading A W column by column and taking
+    sign(r) . r as the loss, which can differ from sum |r| in the last bits.
+    A needs at least one row.  Returns the sign-normalized solution and the
+    loss trace; the trace's final_loss is recomputed at the returned point.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -174,7 +173,6 @@ def minimize(
     W = random_orthonormal(p, q, np.random.default_rng(config.seed))
     if q == 1:
         W = W[:, 0]  # one column runs on the sphere as a vector
-    lr = config.learning_rate
     acc = np.zeros_like(W)
     trace = OptimizationTrace()
     for epoch in range(config.epochs):
@@ -182,13 +180,9 @@ def minimize(
         if not math.isfinite(loss):
             raise DivergenceError(epoch)
         trace.losses.append(loss)
-        if config.algorithm == "riemannian-adagrad":
-            # accumulator lags one step: a fresh run's first update is the
-            # sgd update with learning rate lr / sqrt(epsilon)
-            step = lr * g / np.sqrt(acc + config.adagrad_epsilon)
-            acc += g * g
-        else:
-            step = lr * g
+        # acc lags a step: the first step is g * learning_rate / sqrt(eps)
+        step = config.learning_rate * g / np.sqrt(acc + ADAGRAD_EPSILON)
+        acc += g * g
         if q == 1:
             # the QR retraction of one column is normalisation; t is
             # tangent at the unit vector W, so ||W - t|| >= 1 and no

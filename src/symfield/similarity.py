@@ -51,7 +51,10 @@ class IntegrationDomain:
         return self.lower.size
 
     def to_dict(self) -> dict:
-        return {"lower": self.lower.tolist(), "upper": self.upper.tolist()}
+        d = {"lower": self.lower.tolist(), "upper": self.upper.tolist()}
+        if self.degenerate_axes:
+            d["degenerate_axes"] = self.degenerate_axes
+        return d
 
 
 @dataclass

@@ -64,6 +64,8 @@ class VectorFieldModel:
         n, m = self.basis.dimension, len(self.basis)
         if self.columns.shape[0] != n * m:
             raise ValueError("coefficient column length must be n * m")
+        if not np.all(np.isfinite(self.columns)):
+            raise ValueError("coefficient columns must be finite")
 
     @property
     def dimension(self) -> int:

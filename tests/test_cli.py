@@ -380,7 +380,9 @@ def test_opt_config_wrong_type_fails(tmp_path):
     ('{"learning_rate": NaN}', "learning_rate"),
     ('{"learning_rate": Infinity}', "learning_rate"),
     ('{"adagrad_epsilon": NaN}', "adagrad_epsilon"),
-], ids=["unknown-key", "nan-rate", "inf-rate", "nan-epsilon"])
+    ('{"algorithm": "riemannian-sgd"}', "riemannian-sgd"),
+    ('{"adagrad_epsilon": 1e-10}', "adagrad_epsilon"),
+], ids=["unknown-key", "nan-rate", "inf-rate", "nan-epsilon", "sgd", "epsilon"])
 @pytest.mark.parametrize("command", [
     ["find-vf", "--model", "f.json", "--data", "d.csv"],
     ["discrete", "--model", "f.json", "--data", "d.csv", "--family", "reflection"],
@@ -388,13 +390,15 @@ def test_opt_config_wrong_type_fails(tmp_path):
 def test_opt_config_unknown_key_or_nonfinite_rate_fails(
         tmp_path, monkeypatch, capsys, command, config, name):
     # an unknown key used to be dropped and the defaults ran; a NaN or
-    # infinite rate passed validation
+    # infinite rate passed validation; Adagrad with a fixed epsilon is the
+    # one update rule, and sgd or an epsilon used to run
     monkeypatch.chdir(tmp_path)
     write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
     save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
     (tmp_path / "opt.json").write_text(config + "\n")
     assert run(*command, "--opt-config", "opt.json", "--out", "out.json") == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
@@ -822,6 +826,22 @@ def test_sim_monte_carlo_needs_a_sample(tmp_path, monkeypatch, capsys, samples):
     assert not (tmp_path / "sim.json").exists()
 
 
+def test_sim_reports_a_degenerate_axis(tmp_path, monkeypatch):
+    # a constant column is widened by 1e-9 each way; the domain used to be
+    # written with no flag
+    monkeypatch.chdir(tmp_path)
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    write_csv("flat.csv", np.array([[0.0, 2.0], [1.0, 2.0], [0.5, 2.0]]))
+    write_csv("box.csv", np.array([[0.0, 2.0], [1.0, 3.0]]))
+    for name in ("flat", "box"):
+        assert run("sim", "--truth", "rot.json", "--estimate", "rot.json",
+                   "--data", f"{name}.csv", "--out", f"{name}.json") == 0
+    flat = load_json("flat.json")["domain"]
+    assert flat["degenerate_axes"] == [1]
+    assert flat["lower"][1] < 2.0 < flat["upper"][1]
+    assert "degenerate_axes" not in load_json("box.json")["domain"]
+
+
 @pytest.mark.parametrize("k,code", [("2.7", 2), ("1", 2), ("7.0", 0)])
 def test_gen_disc_rot_k_must_be_integral(tmp_path, k, code):
     out = tmp_path / "d.csv"
@@ -876,6 +896,22 @@ def test_flow_refuses_a_model_of_several_fields(tmp_path, monkeypatch, capsys):
     assert run("flow", "--field", "vf.json", "--x0", "1,0", "--t", "1",
                "--out", "t.csv") == 2
     assert "single field" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_flow_refuses_a_vector_field_with_a_nan_coefficient(
+        tmp_path, monkeypatch, capsys):
+    # the field used to load, and flow exited 3 with "flow state became
+    # non-finite at step 0"
+    monkeypatch.chdir(tmp_path)
+    save_model(sf.VectorFieldModel(monomial_basis(2, 1), [0, 0, 1.0, 0, -1.0, 0]),
+               "vf.json")
+    d = load_json("vf.json")
+    d["columns"][0][2] = float("nan")
+    (tmp_path / "vf.json").write_text(json.dumps(d))  # writes the literal NaN
+    assert run("flow", "--field", "vf.json", "--x0", "1,0", "--t", "1",
+               "--out", "t.csv") == 2
+    assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -561,7 +561,7 @@ def test_fit_reads_only_the_loss_of_its_config():
     a = fit_discrete(f_parabola, parabola, family, sf.OptimizerConfig(
         "riemannian-adagrad", "mean-squared", 0.05, 10, seed=1))
     b = fit_discrete(f_parabola, parabola, family, sf.OptimizerConfig(
-        "riemannian-sgd", "mean-squared", 0.5, 300, seed=7))
+        "riemannian-adagrad", "mean-squared", 0.5, 300, seed=7))
     assert a.parameters.tolist() == b.parameters.tolist()
     assert a.final_loss == b.final_loss
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from symfield.datasets import GeneratorSpec, generate
 from symfield.features import monomial_basis, trig_extend
 from symfield.manifold import (
+    ADAGRAD_EPSILON,
     DivergenceError,
     OptimizerConfig,
     RetractionSingularError,
@@ -84,17 +85,18 @@ def test_minimize_finds_nullspace_direction():
 def test_adagrad_first_epoch_matches_rescaled_sgd():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((50, 4))
-    eps = 1e-10
     lr = 0.01
     ada, _ = minimize(
         A, 1, OptimizerConfig("riemannian-adagrad", "mean-absolute", lr, 1,
-                              seed=5, adagrad_epsilon=eps)
+                              seed=5)
     )
-    sgd, _ = minimize(
-        A, 1, OptimizerConfig("riemannian-sgd", "mean-absolute",
-                              lr / np.sqrt(eps), 1, seed=5)
-    )
-    assert np.allclose(ada, sgd, atol=1e-12)
+    # the accumulator is still zero: one Riemannian gradient step with rate
+    # lr / sqrt(ADAGRAD_EPSILON), then normalisation
+    W = random_orthonormal(4, 1, np.random.default_rng(5))
+    g = A.T @ np.sign(A @ W) / 50
+    W = W - tangent_project(W, lr / np.sqrt(ADAGRAD_EPSILON) * g)
+    expect = _fix_column_signs(W / np.linalg.norm(W))
+    assert np.allclose(ada, expect, atol=1e-12)
 
 
 def test_sign_convention():
@@ -110,7 +112,7 @@ def test_final_loss_recomputed_at_returned_point():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((80, 4))
     W, trace = minimize(
-        A, 1, OptimizerConfig("riemannian-sgd", "mean-absolute", 0.01, 50)
+        A, 1, OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.01, 50)
     )
     expect = np.abs(A @ W).sum() / (80 * 1)
     assert trace.final_loss == pytest.approx(expect, rel=1e-12)
@@ -153,8 +155,6 @@ def test_mean_squared_is_ky_fan_optimum(rows, p, data, seed, log_scale):
 
     # the closed form reads no update-rule setting
     other = OptimizerConfig(
-        algorithm=data.draw(
-            st.sampled_from(["riemannian-sgd", "riemannian-adagrad"])),
         loss="mean-squared",
         learning_rate=data.draw(st.floats(1e-6, 10.0)),
         epochs=data.draw(st.integers(1, 10**6)),
@@ -170,7 +170,7 @@ def test_mean_squared_is_ky_fan_optimum(rows, p, data, seed, log_scale):
     dict(loss="huber"),
     dict(learning_rate=0.0),
     dict(epochs=0),
-    dict(adagrad_epsilon=0.0),
+    dict(algorithm="riemannian-sgd"),
     dict(epochs="x"),
     dict(epochs=10.0),
     dict(epochs=True),
@@ -180,7 +180,7 @@ def test_mean_squared_is_ky_fan_optimum(rows, p, data, seed, log_scale):
     dict(learning_rate="0.1"),
     dict(learning_rate=None),
     dict(learning_rate=True),
-    dict(adagrad_epsilon=[1e-10]),
+    dict(learning_rate=[0.01]),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -190,16 +190,19 @@ def test_config_validation(bad):
 @pytest.mark.parametrize("name", ["learning_rate", "adagrad_epsilon"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_config_rejects_nonfinite_rates(name, value):
-    with pytest.raises(ValueError, match=name):
-        OptimizerConfig(**{name: value})
+    # Adagrad's epsilon is fixed: its key is unknown, whatever its value
+    match = "unknown" if name == "adagrad_epsilon" else "finite"
+    with pytest.raises(ValueError, match=match) as info:
+        OptimizerConfig.from_dict({name: value})
+    assert name in str(info.value)
 
 
 def test_config_from_dict_reads_every_field():
     cfg = OptimizerConfig.from_dict(
-        {"algorithm": "riemannian-sgd", "loss": "mean-squared",
-         "learning_rate": 0.5, "epochs": 7, "seed": 3, "adagrad_epsilon": 1e-6}
+        {"algorithm": "riemannian-adagrad", "loss": "mean-squared",
+         "learning_rate": 0.5, "epochs": 7, "seed": 3}
     )
-    assert cfg == OptimizerConfig("riemannian-sgd", "mean-squared", 0.5, 7, 3, 1e-6)
+    assert cfg == OptimizerConfig("riemannian-adagrad", "mean-squared", 0.5, 7, 3)
 
 
 @pytest.mark.parametrize("extra", ["learning-rate", "comment", "lr"])
@@ -210,8 +213,8 @@ def test_config_from_dict_rejects_unknown_keys(extra):
 
 
 def test_config_accepts_json_integer_rates():
-    cfg = OptimizerConfig.from_dict({"learning_rate": 1, "adagrad_epsilon": 1})
-    assert cfg.learning_rate == 1 and cfg.adagrad_epsilon == 1
+    cfg = OptimizerConfig.from_dict({"learning_rate": 1, "epochs": 3})
+    assert cfg.learning_rate == 1 and cfg.epochs == 3
 
 
 def test_minimize_rejects_nonfinite():
@@ -274,11 +277,8 @@ def _qr_minimize(A, config):
     acc = np.zeros((p, 1))
     for _ in range(config.epochs):
         _, g = loss_and_grad(W)
-        if config.algorithm == "riemannian-adagrad":
-            step = config.learning_rate * g / np.sqrt(acc + config.adagrad_epsilon)
-            acc += g * g
-        else:
-            step = config.learning_rate * g
+        step = config.learning_rate * g / np.sqrt(acc + ADAGRAD_EPSILON)
+        acc += g * g
         W = retract(W, -tangent_project(W, step))
     W = _fix_column_signs(W)
     return W, loss_and_grad(W)[0]
@@ -302,12 +302,6 @@ def _sphere_cases():
         yield (_sincos_matrix(seed, trig_extend(monomial_basis(2, 0))),
                OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.1,
                                5000, 0))
-    # constant-rate sgd: this map grows a rounding difference by about
-    # 0.75 % an epoch with no residual changing sign (two QR loops that
-    # differ only in how A^T is stored part by 9e-15 at epoch 400 and
-    # 1.6e-9 at 2000), so the run stops at 500
-    A = np.random.default_rng(9).standard_normal((300, 7))
-    yield A, OptimizerConfig("riemannian-sgd", "mean-absolute", 0.01, 500, 3)
 
 
 def test_sphere_loop_matches_qr_retraction():
@@ -339,11 +333,8 @@ def _row_major_minimize(A, q, config):
     for _ in range(config.epochs):
         loss, g = loss_and_grad(W)
         losses.append(loss)
-        if config.algorithm == "riemannian-adagrad":
-            step = config.learning_rate * g / np.sqrt(acc + config.adagrad_epsilon)
-            acc += g * g
-        else:
-            step = config.learning_rate * g
+        step = config.learning_rate * g / np.sqrt(acc + ADAGRAD_EPSILON)
+        acc += g * g
         if q == 1:
             W = W - (step - W * (W @ step))
             W /= math.hypot(*W.tolist())
@@ -386,12 +377,10 @@ def test_sphere_loop_takes_no_qr_after_the_start(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", qr_for_the_start_only)
     A = np.random.default_rng(10).standard_normal((100, 5))
-    for algorithm in ("riemannian-sgd", "riemannian-adagrad"):
-        calls.clear()
-        W, _ = minimize(A, 1, OptimizerConfig(algorithm, "mean-absolute",
-                                              0.1, 200))
-        assert calls == [(5, 1)]  # random_orthonormal's seeded start
-        assert abs(np.linalg.norm(W) - 1.0) <= 1e-12
+    W, _ = minimize(A, 1, OptimizerConfig("riemannian-adagrad",
+                                          "mean-absolute", 0.1, 200))
+    assert calls == [(5, 1)]  # random_orthonormal's seeded start
+    assert abs(np.linalg.norm(W) - 1.0) <= 1e-12
     # more columns still retract by QR every epoch
     calls.clear()
     with pytest.raises(AssertionError, match="QR retraction"):
@@ -402,7 +391,7 @@ def test_sphere_loop_huge_step_stays_unit():
     A = np.random.default_rng(11).standard_normal((60, 4))
     for lr in (1e8, 1e200):
         W, trace = minimize(
-            A, 1, OptimizerConfig("riemannian-sgd", "mean-absolute", lr, 20))
+            A, 1, OptimizerConfig("riemannian-adagrad", "mean-absolute", lr, 20))
         assert np.all(np.isfinite(W))
         assert abs(np.linalg.norm(W) - 1.0) <= 1e-12
         assert np.isfinite(trace.final_loss)
@@ -410,9 +399,8 @@ def test_sphere_loop_huge_step_stays_unit():
 
 def test_sphere_loop_nonfinite_step_diverges():
     A = np.random.default_rng(12).standard_normal((60, 4))
-    # lr / sqrt(epsilon) overflows: the first step is infinite
-    config = OptimizerConfig("riemannian-adagrad", "mean-absolute", 1e305, 3,
-                             adagrad_epsilon=1e-10)
+    # lr / sqrt(ADAGRAD_EPSILON) overflows: the first step is infinite
+    config = OptimizerConfig("riemannian-adagrad", "mean-absolute", 1e305, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as info:
             minimize(A, 1, config)
