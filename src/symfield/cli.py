@@ -275,6 +275,8 @@ def cmd_discrete(args) -> None:
         raise ValueError("--family reflection reads no --lo or --hi")
     data, _ = read_csv(args.data)
     model = _load_model(args.model, ScalarFunctionModel, KdeModel)
+    if isinstance(model, KdeModel) and args.opt_config is not None:
+        raise ValueError("a KDE model reads no --opt-config: its fit is mean-absolute")
     if args.family == "reflection":
         family = discrete.reflection_family()
     elif args.family == "rotation":

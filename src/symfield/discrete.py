@@ -17,22 +17,30 @@ unit-norm fit of three or more parameters starts at the best of a fixed set
 of unit vectors and ends each sweep with a turn along the great circle that
 the sweep moved on.  The Brent runs of one line advance in lockstep, so each
 step of all of them is one set of angles, and every set of angles, the grid's
-or a step's, is scored by one blocked scorer: stacked calls of f, each on at
-most _BLOCK_POINTS transformed points.  fit_density fits a planar family to
-an estimated density: it is fit_discrete under the mean-absolute loss, with f
-the density read from a table, and fit_density_rotation is fit_density on a
-rotation family.
+or a step's, is scored by one blocked scorer: stacked calls of f, each for at
+most _BLOCK_POINTS // N angles, N the number of data rows.  When f is a
+ScalarFunctionModel whose atoms are all monomials, the scorer works in
+coefficient space: f o M is a polynomial of f's degree, so each angle costs
+f at a fixed set of probe points, one small least-squares solve and a loss
+read from the coefficients, whatever N is (_coefficient_losses).  Any other
+f, a table closure or a trig basis, is read at every transformed data point
+(_residual_losses), at most _BLOCK_POINTS of them per call.  The reported
+loss is always one direct _residual_losses call.  fit_density fits a planar
+family to an estimated density: it is fit_discrete under the mean-absolute
+loss, with f the density read from a table, and fit_density_rotation is
+fit_density on a rotation family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 
+from .features import design_matrix, monomial_basis
 from .manifold import OptimizerConfig
 from .model_fit import KdeModel, ScalarFunctionModel, _kde_table, kde_eval
 
@@ -197,6 +205,88 @@ def _residual_losses(f, data, base, family, P, loss_kind) -> np.ndarray:
     return np.mean(np.abs(r), axis=1)
 
 
+@dataclass(frozen=True)
+class _CoefficientSpace:
+    """A polynomial f of degree d in the full monomial basis of degree d (m
+    atoms): the probe points Z, f's values there, the least-squares solver
+    that maps values at Z to coefficients, and the rows the loss reads: R,
+    the triangular factor of Phi / sqrt(N), for the mean-squared loss, and
+    Phi^T for the mean-absolute one, with Phi the basis at the data."""
+
+    probes: np.ndarray  # (2 m, n)
+    values: np.ndarray  # (2 m,)
+    solver: np.ndarray  # (m, 2 m)
+    rows: np.ndarray  # R, (min(N, m), m), or Phi^T, (m, N)
+    loss_kind: str
+
+
+_monomials = lru_cache(maxsize=64)(monomial_basis)
+
+
+@lru_cache(maxsize=64)
+def _unit_probes(count: int, n: int) -> np.ndarray:
+    """count seeded uniform draws in [-1, 1]^n, drawn once per shape."""
+    probes = np.random.default_rng(0).uniform(-1.0, 1.0, (count, n))
+    probes.flags.writeable = False
+    return probes
+
+
+def _coefficient_space(f, data: np.ndarray,
+                       loss_kind: str) -> _CoefficientSpace | None:
+    """f in coefficient space, or None where f is not a ScalarFunctionModel
+    whose atoms are all monomials, or a monomial of f's degree is not finite
+    at the data or the probes.  The 2 m probes are seeded uniform
+    draws in the box |z_j| <= max |x_j| of the data (an axis that is 0 at
+    every point takes the widest axis's reach, all-zero data a reach of 1);
+    the solver is the pseudo-inverse of their design matrix with its columns
+    scaled to a largest entry of 1."""
+    if not (isinstance(f, ScalarFunctionModel) and f.basis.is_polynomial()):
+        return None
+    n = data.shape[1]
+    basis = _monomials(n, f.degree())
+    c = np.zeros(len(basis))
+    for atom, value in zip(f.basis.atoms, f.coefficients):
+        if value:
+            c[basis.index(atom)] = value
+    reach = np.max(np.abs(data), axis=0)
+    reach[reach == 0] = reach.max() if reach.max() > 0 else 1.0
+    probes = reach * _unit_probes(2 * len(c), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_both = design_matrix(basis, np.concatenate([probes, data]))
+    if not np.all(np.isfinite(at_both)):
+        return None
+    at_probes, at_data = at_both[:len(probes)], at_both[len(probes):]
+    scale = np.max(np.abs(at_probes), axis=0)
+    solver = np.linalg.pinv(at_probes / scale) / scale[:, None]
+    if loss_kind == "mean-squared":
+        rows = np.linalg.qr(at_data / math.sqrt(len(data)), mode="r")
+    else:
+        rows = np.ascontiguousarray(at_data.T)
+    return _CoefficientSpace(probes, at_probes @ c, solver, rows, loss_kind)
+
+
+def _coefficient_losses(f, space: _CoefficientSpace, family, P) -> np.ndarray:
+    """Residual loss at each row of P of a polynomial f, read in coefficient
+    space: one call of f, at the probes turned by each M.  f o M - f is a
+    polynomial of f's degree, so its coefficients are delta = solver (f(Z
+    M^T) - f(Z)), its values at the data Phi delta and their mean square
+    |R delta|^2, which never reads N.  The difference is taken before the
+    solve, as the direct path takes f(X M^T) - f(X): solving first and
+    subtracting f's coefficients carried 17 times the direct path's rounding
+    on the benchmark's reflection.  Each product is summed within its row, so
+    a row's loss does not depend on the other rows of P."""
+    probes = space.probes @ family.matrix(P).swapaxes(-1, -2)
+    values = f(probes.reshape(-1, probes.shape[-1])).reshape(len(P), 1, -1)
+    delta = ((values - space.values) * space.solver).sum(axis=-1)
+    if space.loss_kind == "mean-squared":
+        r = (delta[:, None, :] * space.rows).sum(axis=-1)
+        return (r * r).sum(axis=1)
+    r = delta[:, :1] * space.rows[0]
+    for j in range(1, len(space.rows)):
+        r += delta[:, j:j + 1] * space.rows[j]
+    return np.mean(np.abs(r), axis=1)
+
+
 _GRID = 64  # every line's grid has _GRID + 2 angles
 _BLOCK_POINTS = 1 << 12  # most transformed points in one grid call of f
 _FIT_XATOL = 1e-10  # fit_discrete's line-search tolerance
@@ -343,7 +433,14 @@ def fit_discrete(
     line gets one search.  Each set of angles a search scores, its grid or
     one lockstep step of its Brent runs, is scored in blocks of
     _BLOCK_POINTS // N angles (at least one), one call of f per block; a
-    row's loss does not depend on its block.  Only config.loss is read.
+    row's loss does not depend on its block.  A ScalarFunctionModel whose
+    atoms are all monomials is scored in coefficient space (see
+    _coefficient_space: its call of f reads 2 m probe points per angle, m
+    the number of monomials of f's degree, not the N data points); any
+    other f, or a polynomial one with a monomial of its degree that
+    overflows at the data, by _residual_losses at the transformed data.
+    final_loss is one _residual_losses call at the returned p on either
+    path.  Only config.loss is read.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != family.dimension:
@@ -352,11 +449,15 @@ def fit_discrete(
     if not np.all(np.isfinite(base)):
         raise ValueError("the model is not finite at the data")
     per_call = max(1, _BLOCK_POINTS // len(data))
+    space = _coefficient_space(f, data, config.loss)
+    if space is None:
+        score = lambda P: _residual_losses(f, data, base, family, P, config.loss)
+    else:
+        score = lambda P: _coefficient_losses(f, space, family, P)
 
     def losses(P):
-        return np.concatenate([
-            _residual_losses(f, data, base, family, P[i:i + per_call], config.loss)
-            for i in range(0, len(P), per_call)])
+        return np.concatenate([score(P[i:i + per_call])
+                               for i in range(0, len(P), per_call)])
 
     n = family.n_params
     if family.constraint == "interval":
@@ -411,8 +512,8 @@ def fit_discrete(
     if family.constraint == "interval":
         tol = 1e-6 * (hi - lo)
         boundary = bool(np.any(p - lo < tol) or np.any(hi - p < tol))
-    return DiscreteFitResult(p, float(losses(p[None])[0]),
-                             excluded_region_active=boundary)
+    final = _residual_losses(f, data, base, family, p[None], config.loss)[0]
+    return DiscreteFitResult(p, float(final), excluded_region_active=boundary)
 
 
 def fit_density(kde: KdeModel, data: np.ndarray,

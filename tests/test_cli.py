@@ -585,6 +585,19 @@ def test_discrete_refuses_an_option_its_family_does_not_read(
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("config", [{"algorithm": "riemannian-sgd"},
+                                    {"loss": "mean-squared"}])
+def test_discrete_refuses_an_opt_config_on_a_kde(tmp_path, monkeypatch, config):
+    # a density fit is always mean-absolute and reads no optimizer settings:
+    # both files exited 0, the first one invalid on a scalar model
+    _kde_inputs(tmp_path, monkeypatch)
+    save_json(config, "opt.json")
+    assert run("discrete", "--model", "kde.json", "--data", "d.csv",
+               "--family", "reflection", "--opt-config", "opt.json",
+               "--out", "r.json") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_user_linear_without_n_params_has_one_parameter(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))

@@ -17,11 +17,13 @@ from symfield.discrete import (
     _STARTS,
     _angle_search,
     _brent,
+    _coefficient_losses,
+    _coefficient_space,
     _compile,
     _refine,
     _residual_losses,
 )
-from symfield.features import monomial_basis
+from symfield.features import design_matrix, monomial_basis, trig_extend
 from symfield.model_fit import kde_eval, kde_fit
 
 CFG = sf.OptimizerConfig("riemannian-adagrad", "mean-absolute", 0.05, 400)
@@ -496,23 +498,37 @@ def test_one_line_families_match_one_dimensional_reference(case, seed, loss):
 
 @pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
 @pytest.mark.parametrize("n_points", [300, 500, 682])  # last block 1, 2, full
-@pytest.mark.parametrize("case", ["two-angle", "odd-three"])
+@pytest.mark.parametrize("case", ["two-angle", "odd-three",
+                                  "two-angle-coefficients", "odd-three-coefficients"])
 def test_stacked_grid_losses_equal_one_angle_losses(monkeypatch, case,
                                                     n_points, loss):
+    # f as a plain callable is scored at the transformed data by
+    # _residual_losses; the model itself (a -coefficients case) in
+    # coefficient space by _coefficient_losses, and its final loss by one
+    # _residual_losses call
     rng = np.random.default_rng(n_points)
     data = rng.standard_normal((n_points, 2))
-    if case == "two-angle":
-        f = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
+    if case.startswith("two-angle"):
+        model = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
         family = user_linear_family(TWO_ANGLE_ENTRIES, 2, "interval", (1.0, 3.0))
     else:
-        f = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
+        model = poly_model(monomial_basis(2, 2), {(0, 1): 1.0, (2, 0): -1.0})
         family = user_linear_family(ODD_THREE_ENTRIES, 3)
-    calls = []  # (arguments, result) of each _residual_losses call
+    coefficients = case.endswith("-coefficients")
+    f = model if coefficients else (lambda X: model(X))
+    # (arguments, result) of each call of either scorer, and where P is
+    calls = {"_residual_losses": [], "_coefficient_losses": []}
+    rows_at = {"_residual_losses": 4, "_coefficient_losses": 3}
     searches = []  # angles in each call of a line's loss, a list per search
 
-    def recording(*args):
-        calls.append((args, _residual_losses(*args)))
-        return calls[-1][1]
+    def recorder(name):
+        scorer = getattr(discrete, name)
+
+        def recording(*args):
+            calls[name].append((args, scorer(*args)))
+            return calls[name][-1][1]
+
+        return recording, scorer
 
     def recording_search(losses, grid, xatol):
         sizes = []
@@ -521,25 +537,36 @@ def test_stacked_grid_losses_equal_one_angle_losses(monkeypatch, case,
                             grid, xatol)
 
     angle_search = discrete._angle_search
-    monkeypatch.setattr(discrete, "_residual_losses", recording)
+    scorers = {}
+    for name in calls:
+        recording, scorers[name] = recorder(name)
+        monkeypatch.setattr(discrete, name, recording)
     monkeypatch.setattr(discrete, "_angle_search", recording_search)
     fit_discrete(f, data, family, sf.OptimizerConfig(loss=loss))
-    stacked = [(args, out) for args, out in calls if len(args[4]) > 1]
-    for (f_, data_, base, family_, P, loss_kind), out in stacked:
-        for row, value in zip(P, out):
-            one = _residual_losses(f_, data_, base, family_, row[None], loss_kind)
-            assert value.hex() == one[0].hex()
+    name = "_coefficient_losses" if coefficients else "_residual_losses"
+    at = rows_at[name]
+    for args, out in calls[name]:
+        if len(args[at]) > 1:
+            for row, value in zip(args[at], out):
+                alone = scorers[name](*args[:at], row[None], *args[at + 1:])
+                assert value.hex() == alone[0].hex()
     # each call of a line's loss, its 66 grid angles or one angle per Brent
     # run still going, comes in blocks of per_call, the last holding what is
     # left; so do the _STARTS starts of the three-parameter unit-norm fit,
-    # scored first; the final loss is one more call
+    # scored first; the final loss is one more, direct call
     per_call = _BLOCK_POINTS // n_points
     assert len(searches) >= 2 and all(sizes[0] == 66 for sizes in searches)
     assert any(k > 1 for sizes in searches for k in sizes[1:])  # stacked steps
-    scored = [_STARTS] if case == "odd-three" else []
-    assert [len(args[4]) for args, _ in calls] == [
-        min(per_call, k - i) for k in scored + [k for sizes in searches for k in sizes]
-        for i in range(0, k, per_call)] + [1]
+    scored = [_STARTS] if case.startswith("odd-three") else []
+    blocks = [min(per_call, k - i)
+              for k in scored + [k for sizes in searches for k in sizes]
+              for i in range(0, k, per_call)]
+    sizes = {name: [len(args[rows_at[name]]) for args, _ in calls[name]]
+             for name in calls}
+    if coefficients:
+        assert sizes == {"_coefficient_losses": blocks, "_residual_losses": [1]}
+    else:
+        assert sizes == {"_coefficient_losses": [], "_residual_losses": blocks + [1]}
 
 
 @pytest.mark.parametrize("n_points", [300, 5000])
@@ -806,3 +833,128 @@ def test_stacked_matrix_and_expressions_equal_per_row(entries, n_params):
             assert [float(v) for v in values] == [
                 float(entry(P[k])) for k in range(7)]
     assert _tree_values(2.5, P).tolist() == [2.5] * 7
+
+
+def _householder_model():
+    """A cubic in three variables that the Householder reflection with unit
+    normal n = (0.48, 0.36, -0.8) alone preserves, as monomial coefficients
+    (a least-squares expansion, exact up to rounding)."""
+    n = np.array([0.48, 0.36, -0.8])
+    u = np.cross(n, [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    v = np.cross(n, u)
+    g = lambda X: ((X @ n) ** 2 * (X @ u) + (X @ v) ** 3 + 2 * (X @ u) ** 3
+                   + (X @ u) * (X @ v) ** 2)
+    basis = monomial_basis(3, 3)
+    Z = np.random.default_rng(3).standard_normal((60, 3))
+    return sf.ScalarFunctionModel(
+        basis, np.linalg.lstsq(design_matrix(basis, Z), g(Z), rcond=None)[0])
+
+
+def _coefficient_cases(case):
+    """(model, data, family) of each family the coefficient path is checked
+    on.  Each model is homogeneous, or its family has one line, so scaling
+    the data scales the loss and leaves the search's minimum where it was."""
+    parabola, plane, f_parabola, f_three = _parametric_inputs(401)
+    f_mirror = poly_model(monomial_basis(2, 3), {(2, 1): 1.0, (0, 3): 1.0})
+    interval = ("interval", (1.0, 3.0))
+    return {
+        "reflection": (f_parabola, parabola, reflection_family()),
+        "rotation": (f_three, plane, rotation_family(1.0, 3.0)),
+        "reflection-entries": (f_parabola, parabola,
+                               user_linear_family(REFLECTION_ENTRIES, 2)),
+        "odd": (f_mirror, plane, user_linear_family(ODD_ENTRIES, 2)),
+        "odd-three": (f_mirror, plane, user_linear_family(ODD_THREE_ENTRIES, 3)),
+        "two-angle": (f_three, plane,
+                      user_linear_family(TWO_ANGLE_ENTRIES, 2, *interval)),
+        "householder": (_householder_model(),
+                        np.random.default_rng(19).standard_normal((300, 3)),
+                        user_linear_family(HOUSEHOLDER_ENTRIES, 3)),
+        "constant-axis": (f_three, np.column_stack([plane[:, 0], np.full(300, 2.0)]),
+                          rotation_family(1.0, 3.0)),
+        "fewer-rows-than-probes": (f_three, plane[:7], rotation_family(1.0, 3.0)),
+    }[case]
+
+
+def _term_scale(model, points):
+    """RMS over the points of sum_j |c_j b_j(x)|: the size of the terms whose
+    rounding both paths' residuals carry."""
+    terms = np.abs(design_matrix(model.basis, points)) @ np.abs(model.coefficients)
+    return math.sqrt(np.mean(terms * terms))
+
+
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("case", [
+    "reflection", "rotation", "reflection-entries", "odd", "odd-three",
+    "two-angle", "householder", "constant-axis", "fewer-rows-than-probes"])
+def test_coefficient_path_matches_direct_path(case, scale, loss):
+    # the model is scored in coefficient space; the same model as a plain
+    # callable at the transformed data
+    model, data, family = _coefficient_cases(case)
+    data = scale * data
+    rng = np.random.default_rng(0)
+    P = (rng.uniform(*family.interval, (40, family.n_params))
+         if family.constraint == "interval"
+         else rng.standard_normal((40, family.n_params)))
+    space = _coefficient_space(model, data, loss)
+    fast = _coefficient_losses(model, space, family, P)
+    direct = _residual_losses(model, data, model(data), family, P, loss)
+    if loss == "mean-squared":  # compare RMS residuals, norms as mean |r| is
+        fast, direct = np.sqrt(fast), np.sqrt(direct)
+    # both differ from the exact residual by rounding of the terms: at most
+    # 4.8e-15 of their size on these cases (the benchmark's reflection)
+    terms = _term_scale(model, data) + max(
+        _term_scale(model, data @ M.T) for M in family.matrix(P))
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * terms
+    # the fits end at the same parameters: at most 2e-11 apart on these
+    # cases (the three-parameter odd family's coupled sweeps), and the
+    # reported loss is the direct one at each fit's parameters
+    config = sf.OptimizerConfig(loss=loss)
+    a = fit_discrete(model, data, family, config)
+    b = fit_discrete(lambda X: model(X), data, family, config)
+    np.testing.assert_allclose(a.parameters, b.parameters, rtol=0, atol=1e-9)
+    assert a.final_loss == _residual_losses(model, data, model(data), family,
+                                            a.parameters[None], loss)[0]
+
+
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+def test_trig_models_and_densities_take_the_direct_path(monkeypatch, loss):
+    # a basis with a trig atom, and fit_density's table closure, are read at
+    # every transformed point, bit for bit as when f is a plain callable
+    scored = []
+    monkeypatch.setattr(discrete, "_coefficient_losses",
+                        lambda *args: scored.append(args) or _coefficient_losses(*args))
+    _, plane, _, _ = _parametric_inputs(401)
+    basis = trig_extend(monomial_basis(2, 3))
+    c = np.zeros(len(basis))
+    c[[basis.index(sf.FeatureAtom("monomial", (3, 0))),
+       basis.index(sf.FeatureAtom("monomial", (1, 2)))]] = [1.0, -3.0]
+    c[basis.index(sf.FeatureAtom("cos", axis=0))] = 1e-3
+    trig = sf.ScalarFunctionModel(basis, c)
+    config = sf.OptimizerConfig(loss=loss)
+    family = rotation_family(1.0, 3.0)
+    a = fit_discrete(trig, plane, family, config)
+    b = fit_discrete(lambda X: trig(X), plane, family, config)
+    assert (a.parameters.tolist(), a.final_loss) == (b.parameters.tolist(),
+                                                     b.final_loss)
+    kde, data = _disc_rot_kde(1000, 401)
+    fit_density_rotation(kde, data, np.pi / 6)
+    assert scored == []
+
+
+def test_polynomial_whose_monomials_overflow_at_the_data_takes_the_direct_path():
+    # f = x^3 is finite at the data and at its images under x -> x cos p, but
+    # y^3, an atom of the full cubic basis, is not: the fit is the plain
+    # callable's, bit for bit
+    x3 = sf.FeatureBasis(2, (sf.FeatureAtom("monomial", (3, 0)),))
+    f = sf.ScalarFunctionModel(x3, [1.0])
+    data = np.random.default_rng(0).standard_normal((50, 2)) * [1.0, 1e200]
+    assert _coefficient_space(f, data, "mean-squared") is None
+    family = user_linear_family([[_op("cos", _p(0)), 0], [0, 1]], 1, "interval",
+                                (1.0, 3.0))
+    a = fit_discrete(f, data, family, CFG)
+    b = fit_discrete(lambda X: f(X), data, family, CFG)
+    assert (a.parameters.tolist(), a.final_loss) == (b.parameters.tolist(),
+                                                     b.final_loss)
+
