@@ -12,6 +12,14 @@ usage error; an output that would hold NaN is refused), 3 numerical failure
 negative value after a space; SYMFIELD_SEED overrides every configured seed.
 main turns numpy's floating-point warnings off, even under -W error, so an
 overflow or a 0/0 warns nothing and the refusals above set the exit code.
+An option that the command line's path leaves unread (UNREAD_OPTIONS) exits 2
+before any work: --k-max and --elbow-ratio under fit-levelset --k, --known off
+--strategy extend-columns, --weight-power off fit-kde --weights target,
+--vf-degree under find-vf --escalate, --mc-samples under sim --method analytic,
+--lower and --upper under sim --data, --entries and --n-params off discrete
+--family user-linear, and --lo and --hi under --family reflection.  sim --method
+auto, whose path the fields choose, keeps --mc-samples; --opt-config keys and
+--seed are not checked per path.
 """
 
 from __future__ import annotations
@@ -135,9 +143,8 @@ def _elbow_fit(data, basis, args, config):
         model, loss = model_fit.fit_level_set(data, basis, args.k, config)
         return model, None
     k_max = args.k_max if args.k_max is not None else min(len(basis), 8)
-    trace = model_fit.select_components_elbow(
-        data, basis, k_max, config, elbow_ratio=args.elbow_ratio
-    )
+    ratio = {} if args.elbow_ratio is None else {"elbow_ratio": args.elbow_ratio}
+    trace = model_fit.select_components_elbow(data, basis, k_max, config, **ratio)
     return trace.model, trace.to_dict()
 
 
@@ -190,7 +197,8 @@ def cmd_fit_kde(args) -> None:
     if args.weights == "target":
         if targets is None:
             raise ValueError("--weights target needs a target column")
-        weights = targets**args.weight_power
+        power = 1.0 if args.weight_power is None else args.weight_power
+        weights = targets**power
         weights = weights / weights.sum()
     save_model(model_fit.kde_fit(data, weights, args.bandwidth), args.out)
 
@@ -204,7 +212,8 @@ def cmd_find_vf(args) -> None:
             model, data, args.c, config
         )
     else:
-        basis = monomial_basis(data.shape[1], args.vf_degree)
+        degree = 1 if args.vf_degree is None else args.vf_degree
+        basis = monomial_basis(data.shape[1], degree)
         fields, trace = vfield.estimate_vector_fields(
             model, data, basis, args.c, config
         )
@@ -258,21 +267,14 @@ def cmd_sim(args) -> None:
         domain = IntegrationDomain(args.lower, args.upper)
     else:
         raise ValueError("sim needs --data or both --lower and --upper")
-    report = similarity(
-        X, X_hat, domain,
-        method=args.method,
-        mc_samples=args.mc_samples,
-        mc_seed=_effective_seed(args),
-    )
+    samples = {} if args.mc_samples is None else {"mc_samples": args.mc_samples}
+    report = similarity(X, X_hat, domain, method=args.method,
+                        mc_seed=_effective_seed(args), **samples)
     save_json(report.to_dict(), args.out)
 
 
 def cmd_discrete(args) -> None:
     bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
-    if args.family != "user-linear" and (args.entries, args.n_params) != (None, None):
-        raise ValueError(f"--family {args.family} reads no --entries or --n-params")
-    if args.family == "reflection" and bounds is not None:
-        raise ValueError("--family reflection reads no --lo or --hi")
     data, _ = read_csv(args.data)
     model = _load_model(args.model, ScalarFunctionModel, KdeModel)
     if isinstance(model, KdeModel) and args.opt_config is not None:
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trig", action="store_true")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--elbow-ratio", type=float, default=10.0)
+    p.add_argument("--elbow-ratio", type=float, default=None, help="default 10")
     p.add_argument(
         "--strategy",
         choices=("plain", "project-affine", "extend-columns"),
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-kde", help="weighted kernel density estimation")
     p.add_argument("--data", required=True)
     p.add_argument("--weights", choices=("none", "target"), default="none")
-    p.add_argument("--weight-power", type=float, default=1.0)
+    p.add_argument("--weight-power", type=float, default=None, help="default 1")
     p.add_argument("--bandwidth", default="scott")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_kde)
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-vf", help="estimate annihilating vector fields")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--vf-degree", type=int, default=1)
+    p.add_argument("--vf-degree", type=int, default=None, help="default 1")
     p.add_argument("--c", type=int, default=1)
     p.add_argument("--escalate", action="store_true")
     p.add_argument("--out", required=True)
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower", type=vector, default=None)
     p.add_argument("--upper", type=vector, default=None)
     p.add_argument("--method", default="auto")
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument("--mc-samples", type=int, default=None, help="default 100000")
     p.add_argument("--out", required=True)
     _add_common(p, opt=False)
     p.set_defaults(func=cmd_sim)
@@ -502,6 +504,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> [(a path, whether the parsed arguments take it, the options that
+# path leaves unread)]; main refuses any such option that the command line set,
+# which it sees as a parsed value other than None
+UNREAD_OPTIONS = {
+    "fit-levelset": [
+        ("with --k", lambda a: a.k is not None, ("--k-max", "--elbow-ratio")),
+        ("off --strategy extend-columns", lambda a: a.strategy != "extend-columns",
+         ("--known",))],
+    "fit-kde": [("off --weights target", lambda a: a.weights != "target",
+                 ("--weight-power",))],
+    "find-vf": [("with --escalate", lambda a: a.escalate, ("--vf-degree",))],
+    "sim": [("with --method analytic", lambda a: a.method == "analytic",
+             ("--mc-samples",)),
+            ("with --data", lambda a: a.data is not None, ("--lower", "--upper"))],
+    "discrete": [
+        ("off --family user-linear", lambda a: a.family != "user-linear",
+         ("--entries", "--n-params")),
+        ("with --family reflection", lambda a: a.family == "reflection",
+         ("--lo", "--hi"))],
+}
+
+
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Rewrite "--t -1e-3" as "--t=-1e-3": no option starts with "-<digit>" or
     "-." and no command takes a positional argument."""
@@ -517,6 +541,11 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_values(argv))
+    for path, takes, options in UNREAD_OPTIONS.get(args.command, ()):
+        given = [o for o in options if getattr(args, o[2:].replace("-", "_")) is not None]
+        if given and takes(args):
+            print(f"error: {args.command} {path} reads no {given[0]}", file=sys.stderr)
+            return 2
     try:
         with np.errstate(all="ignore"):  # the refusals below set the exit code
             args.func(args)

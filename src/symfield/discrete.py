@@ -499,10 +499,12 @@ def fit_discrete(
             # one more search, along the great circle from the sweep's start
             # through p: coupled parameters otherwise converge only linearly
             d = p - (start @ p) * start
+            d -= (start @ d) * start  # twice is enough (Kahan; Parlett 1980)
             d /= np.linalg.norm(d)
             arc = lambda ts: np.cos(ts)[:, None] * start + np.sin(ts)[:, None] * d
             t = _angle_search(lambda ts: losses(arc(ts)), grid, _FIT_XATOL)
             p = arc(np.array([t]))[0]
+            p /= np.linalg.norm(p)  # so the next sweep starts on the sphere
     if not lines:
         p = min((p, -p), key=lambda q: losses(q[None])[0])
     if (family.constraint == "unit-norm" and p[np.argmax(np.abs(p))] < 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import symfield as sf
 from conftest import poly_field, poly_model
-from symfield.cli import _attach_negative_values, build_parser, main
+from symfield.cli import UNREAD_OPTIONS, _attach_negative_values, build_parser, main
 from symfield.features import monomial_basis
 from symfield.serialize import (
     load_json,
@@ -117,6 +118,24 @@ def test_pipeline_recovers_annihilating_field(tmp_path):
                "--data", data_csv, "--out", tmp_path / "sim.json") == 0
     report = load_json(str(tmp_path / "sim.json"))
     assert report["aggregate"] >= 0.99
+
+
+def test_find_vf_on_a_kde_recovers_annihilating_field(tmp_path, monkeypatch):
+    # the density of gaussian-quadratic is constant on the level sets of
+    # (x-1)^2 + 4(y-1)^2, so the pipeline's truth field annihilates its KDE
+    monkeypatch.chdir(tmp_path)
+    save_json({"loss": "mean-squared"}, "opt.json")
+    assert run("gen", "--name", "gaussian-quadratic", "--size", "2000",
+               "--seed", "0", "--out", "d.csv") == 0
+    assert run("fit-kde", "--data", "d.csv", "--out", "kde.json") == 0
+    assert run("find-vf", "--model", "kde.json", "--data", "d.csv",
+               "--vf-degree", "1", "--opt-config", "opt.json",
+               "--out", "vf.json") == 0
+    save_model(poly_field(2, 1, {(0, 0): 4.0, (0, 1): -4.0},
+                          {(0, 0): -1.0, (1, 0): 1.0}), "truth.json")
+    assert run("sim", "--truth", "truth.json", "--estimate", "vf.json",
+               "--data", "d.csv", "--out", "sim.json") == 0
+    assert load_json("sim.json")["aggregate"] >= 0.99  # 0.9982 on seed 0
 
 
 def test_fit_levelset_project_affine_circle(tmp_path):
@@ -583,6 +602,64 @@ def test_discrete_refuses_an_option_its_family_does_not_read(
         code = exc.code
     assert code == 2
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command,options", [
+    (["find-vf", "--model", "f.json", "--data", "d.csv", "--escalate"],
+     ["--vf-degree", "3"]),
+    (["fit-levelset", "--data", "d.csv", "--k", "1"], ["--k-max", "3"]),
+    (["fit-levelset", "--data", "d.csv", "--k", "1"], ["--elbow-ratio", "1000"]),
+    (["fit-levelset", "--data", "d.csv"], ["--known", "f.json"]),
+    (["fit-levelset", "--data", "line.csv", "--strategy", "project-affine"],
+     ["--known", "f.json"]),
+    (["fit-kde", "--data", "d.csv"], ["--weight-power", "3"]),
+    (["fit-kde", "--data", "d.csv", "--weights", "none"], ["--weight-power", "1"]),
+    (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--lower", "0,0",
+      "--upper", "1,1", "--method", "analytic"], ["--mc-samples", "5"]),
+    (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--data", "d.csv"],
+     ["--lower", "0,0", "--upper", "1,1"]),
+    (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--data", "d.csv"],
+     ["--upper", "1,1"]),
+    (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "reflection"],
+     ["--entries", "entries.json"]),
+    (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "rotation",
+      "--lo", "1", "--hi", "3"], ["--n-params", "1"]),
+    (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "reflection"],
+     ["--lo", "0.1", "--hi", "0.2"]),
+], ids=["escalate-vf-degree", "k-k-max", "k-elbow-ratio", "plain-known",
+        "project-affine-known", "weight-power", "weights-none-weight-power",
+        "analytic-mc-samples", "data-box", "data-upper", "reflection-entries",
+        "rotation-n-params", "reflection-bounds"])
+def test_an_option_its_path_leaves_unread_exits_2(tmp_path, monkeypatch, capsys,
+                                                   command, options):
+    # each pair but the two discrete ones exited 0 with the option dropped;
+    # the command line without it exits 0
+    monkeypatch.chdir(tmp_path)
+    data = np.random.default_rng(0).standard_normal((20, 2))
+    write_csv("d.csv", data, data[:, 0] ** 2 + 1)
+    write_csv("line.csv", np.column_stack([data[:, 0], 2 * data[:, 0] + 1]))
+    save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0, (0, 2): 1.0}),
+               "f.json")
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    save_json({"entries": [[1, 0], [0, 1]]}, "entries.json")
+    assert run(*command, "--out", "valid") == 0
+    capsys.readouterr()
+    assert run(*command, *options, "--out", "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command[0]} ") and err.count("\n") == 1
+    assert f"reads no {options[0]}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unread_options_are_options_of_their_command_that_default_to_none():
+    # main sees an option as set when its parsed value is not None
+    parsers = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices
+    for command, paths in UNREAD_OPTIONS.items():
+        actions = {s: a for a in parsers[command]._actions for s in a.option_strings}
+        for _, _, options in paths:
+            for option in options:
+                assert actions[option].default is None, (command, option)
 
 
 @pytest.mark.parametrize("config", [{"algorithm": "riemannian-sgd"},
@@ -1218,7 +1295,7 @@ FUZZ_COMMANDS = {
                      ("--trig", False, "flag"), ("--k", None, "count"),
                      ("--k-max", "3", "count"), ("--elbow-ratio", "10", "float"),
                      ("--strategy", "plain", "strategy"),
-                     ("--known", "f.json", "model"),
+                     ("--known", None, "model"),
                      ("--opt-config", "opt.json", "opt"), ("--seed", "3", "seed"),
                      ("--out", "out", None)],
     "fit-kde": [("--data", "d.csv", "csv"), ("--weights", "target", "weights"),
@@ -1412,6 +1489,22 @@ def test_cli_fuzz_exits_0_2_or_3_and_writes_only_valid_output(
         assert code in (0, 2, 3), argv
         if code == 0:
             _check_outputs(tmp, os.listdir(fuzz_inputs), argv)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+def test_every_fuzz_base_line_exits_0(fuzz_inputs, tmp_path, command):
+    """Each command's unmutated fuzz line is valid, so a refusal rule cannot
+    turn its fuzz target into one that only exits 2."""
+    shutil.copytree(fuzz_inputs, tmp_path, dirs_exist_ok=True)
+    argv = [command]
+    for option, value, pool in FUZZ_COMMANDS[command]:
+        if value is True:
+            argv.append(option)
+        elif isinstance(value, str):
+            argv += [option, str(tmp_path / value) if pool in FUZZ_FILE_POOLS
+                     else value]
+    assert main(argv) == 0
+    _check_outputs(str(tmp_path), os.listdir(fuzz_inputs), argv)
 
 
 def test_density_rotation_on_a_narrow_kde_exits_0(fuzz_inputs, tmp_path):

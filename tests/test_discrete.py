@@ -625,6 +625,20 @@ def test_three_parameter_unit_norm_family_reaches_planted_reflection(loss, tol):
     assert result.final_loss <= tol
 
 
+@pytest.mark.parametrize("coefficients", [False, True])
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
+@pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+def test_unit_norm_fit_stays_on_the_sphere(scale, loss, coefficients):
+    # the great-circle step took d = p - (start . p) start once and never
+    # renormalised p, so |p| drifted from 1 sweep by sweep: 0.255 at scale
+    # 10 mean-squared on the direct path
+    _, plane, f_parabola, _ = _parametric_inputs(401)
+    f = f_parabola if coefficients else (lambda X: f_parabola(X))
+    result = fit_discrete(f, scale * plane, user_linear_family(ODD_THREE_ENTRIES, 3),
+                          sf.OptimizerConfig(loss=loss))
+    assert abs(np.linalg.norm(result.parameters) - 1.0) <= 1e-12
+
+
 def test_one_parameter_unit_norm_family_compares_both_points():
     # the unit sphere of one parameter is +-1; here -1 is the identity
     data = np.random.default_rng(18).standard_normal((50, 2))
