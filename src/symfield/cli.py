@@ -12,14 +12,8 @@ usage error; an output that would hold NaN is refused), 3 numerical failure
 negative value after a space; SYMFIELD_SEED overrides every configured seed.
 main turns numpy's floating-point warnings off, even under -W error, so an
 overflow or a 0/0 warns nothing and the refusals above set the exit code.
-An option that the command line's path leaves unread (UNREAD_OPTIONS) exits 2
-before any work: --k-max and --elbow-ratio under fit-levelset --k, --known off
---strategy extend-columns, --weight-power off fit-kde --weights target,
---vf-degree under find-vf --escalate, --mc-samples under sim --method analytic,
---lower and --upper under sim --data, --entries and --n-params off discrete
---family user-linear, and --lo and --hi under --family reflection.  sim --method
-auto, whose path the fields choose, keeps --mc-samples; --opt-config keys and
---seed are not checked per path.
+An option that the command line's path leaves unread, as the table
+UNREAD_OPTIONS names path by path, exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -143,8 +137,7 @@ def _elbow_fit(data, basis, args, config):
         model, loss = model_fit.fit_level_set(data, basis, args.k, config)
         return model, None
     k_max = args.k_max if args.k_max is not None else min(len(basis), 8)
-    ratio = {} if args.elbow_ratio is None else {"elbow_ratio": args.elbow_ratio}
-    trace = model_fit.select_components_elbow(data, basis, k_max, config, **ratio)
+    trace = model_fit.select_components_elbow(data, basis, k_max, config)
     return trace.model, trace.to_dict()
 
 
@@ -268,8 +261,7 @@ def cmd_sim(args) -> None:
     else:
         raise ValueError("sim needs --data or both --lower and --upper")
     samples = {} if args.mc_samples is None else {"mc_samples": args.mc_samples}
-    report = similarity(X, X_hat, domain, method=args.method,
-                        mc_seed=_effective_seed(args), **samples)
+    report = similarity(X, X_hat, domain, mc_seed=_effective_seed(args), **samples)
     save_json(report.to_dict(), args.out)
 
 
@@ -387,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trig", action="store_true")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--elbow-ratio", type=float, default=None, help="default 10")
     p.add_argument(
         "--strategy",
         choices=("plain", "project-affine", "extend-columns"),
@@ -450,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--lower", type=vector, default=None)
     p.add_argument("--upper", type=vector, default=None)
-    p.add_argument("--method", default="auto")
     p.add_argument("--mc-samples", type=int, default=None, help="default 100000")
     p.add_argument("--out", required=True)
     _add_common(p, opt=False)
@@ -509,15 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
 # which it sees as a parsed value other than None
 UNREAD_OPTIONS = {
     "fit-levelset": [
-        ("with --k", lambda a: a.k is not None, ("--k-max", "--elbow-ratio")),
+        ("with --k", lambda a: a.k is not None, ("--k-max",)),
         ("off --strategy extend-columns", lambda a: a.strategy != "extend-columns",
          ("--known",))],
     "fit-kde": [("off --weights target", lambda a: a.weights != "target",
                  ("--weight-power",))],
     "find-vf": [("with --escalate", lambda a: a.escalate, ("--vf-degree",))],
-    "sim": [("with --method analytic", lambda a: a.method == "analytic",
-             ("--mc-samples",)),
-            ("with --data", lambda a: a.data is not None, ("--lower", "--upper"))],
+    "sim": [("with --data", lambda a: a.data is not None, ("--lower", "--upper"))],
     "discrete": [
         ("off --family user-linear", lambda a: a.family != "user-linear",
          ("--entries", "--n-params")),

@@ -67,15 +67,15 @@ def _normals(rng: np.random.Generator, count: int) -> np.ndarray:
     return z.ravel()[:count]
 
 
-def disc_rot_targets(x: np.ndarray, y: np.ndarray, k: int, z=1.0) -> np.ndarray:
-    """z / (1 + (polar angle of (x, y) mod 2 pi / k)).
+def disc_rot_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """1 / (1 + (polar angle of (x, y) mod 2 pi / k)).
 
     The full polar angle (atan2, measured from the y axis) makes the target
     exactly invariant under rotation by 2 pi / k; a principal-branch arctan
     of the ratio x / y would instead be pi-periodic and admit the half-turn
     as a spurious, stronger symmetry.
     """
-    return z / (1.0 + np.mod(np.arctan2(x, y), 2.0 * np.pi / k))
+    return 1.0 / (1.0 + np.mod(np.arctan2(x, y), 2.0 * np.pi / k))
 
 
 def generate(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray | None]:

@@ -42,6 +42,7 @@ __all__ = [
     "kde_gradient",
 ]
 
+ELBOW_RATIO = 10.0
 ELBOW_LOSS_FLOOR = 1e-12
 # one row block of kernel values holds about this many doubles (512 KB), so
 # the exponent, its exponential and the weighted sums stay in cache
@@ -187,11 +188,10 @@ def select_components_elbow(
     basis: FeatureBasis,
     k_max: int,
     config: manifold.OptimizerConfig,
-    elbow_ratio: float = 10.0,
 ) -> ElbowTrace:
-    """Pick the component count just before the first large loss jump."""
-    if not (np.isfinite(elbow_ratio) and elbow_ratio > 0):
-        raise ValueError("elbow_ratio must be finite and positive")
+    """Pick the component count just before the first large loss jump: the
+    first k < k_max with loss(k + 1) > ELBOW_RATIO * max(loss(k),
+    ELBOW_LOSS_FLOOR), else k_max with no_elbow set."""
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got k_max={k_max}")
     trace = ElbowTrace()
@@ -203,7 +203,7 @@ def select_components_elbow(
         trace.losses.append((k, loss))
     trace.selected = next(
         (k for k in range(1, k_max)
-         if losses[k] / max(losses[k - 1], ELBOW_LOSS_FLOOR) > elbow_ratio), k_max)
+         if losses[k] / max(losses[k - 1], ELBOW_LOSS_FLOOR) > ELBOW_RATIO), k_max)
     trace.no_elbow = trace.selected == k_max
     trace.model = models[trace.selected - 1]
     return trace

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import symfield as sf
 from conftest import poly_field, poly_model
 from symfield.cli import UNREAD_OPTIONS, _attach_negative_values, build_parser, main
-from symfield.features import monomial_basis
+from symfield.features import monomial_basis, trig_extend
 from symfield.serialize import (
     load_json,
     load_model,
@@ -35,6 +35,14 @@ EXPERIMENT_OPT = {
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def trig_field():
+    """(x2, -x1 + sin x1): its one trig atom with a coefficient other than
+    zero sends sim to Monte Carlo."""
+    basis = trig_extend(monomial_basis(2, 1))  # 1, x1, x2, cos x1, cos x2, sin x1, sin x2
+    return sf.BasisVectorField([sf.ScalarFunctionModel(basis, np.array(c)) for c in (
+        [0, 0, 1.0, 0, 0, 0, 0], [0, -1.0, 0, 0, 0, 1.0, 0])])
 
 
 def opt_config_file(tmp_path, **overrides):
@@ -608,14 +616,11 @@ def test_discrete_refuses_an_option_its_family_does_not_read(
     (["find-vf", "--model", "f.json", "--data", "d.csv", "--escalate"],
      ["--vf-degree", "3"]),
     (["fit-levelset", "--data", "d.csv", "--k", "1"], ["--k-max", "3"]),
-    (["fit-levelset", "--data", "d.csv", "--k", "1"], ["--elbow-ratio", "1000"]),
     (["fit-levelset", "--data", "d.csv"], ["--known", "f.json"]),
     (["fit-levelset", "--data", "line.csv", "--strategy", "project-affine"],
      ["--known", "f.json"]),
     (["fit-kde", "--data", "d.csv"], ["--weight-power", "3"]),
     (["fit-kde", "--data", "d.csv", "--weights", "none"], ["--weight-power", "1"]),
-    (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--lower", "0,0",
-      "--upper", "1,1", "--method", "analytic"], ["--mc-samples", "5"]),
     (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--data", "d.csv"],
      ["--lower", "0,0", "--upper", "1,1"]),
     (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--data", "d.csv"],
@@ -626,9 +631,9 @@ def test_discrete_refuses_an_option_its_family_does_not_read(
       "--lo", "1", "--hi", "3"], ["--n-params", "1"]),
     (["discrete", "--model", "f.json", "--data", "d.csv", "--family", "reflection"],
      ["--lo", "0.1", "--hi", "0.2"]),
-], ids=["escalate-vf-degree", "k-k-max", "k-elbow-ratio", "plain-known",
+], ids=["escalate-vf-degree", "k-k-max", "plain-known",
         "project-affine-known", "weight-power", "weights-none-weight-power",
-        "analytic-mc-samples", "data-box", "data-upper", "reflection-entries",
+        "data-box", "data-upper", "reflection-entries",
         "rotation-n-params", "reflection-bounds"])
 def test_an_option_its_path_leaves_unread_exits_2(tmp_path, monkeypatch, capsys,
                                                    command, options):
@@ -908,12 +913,38 @@ def test_malformed_model_and_config_inputs_fail(tmp_path, monkeypatch, command):
 def test_sim_monte_carlo_needs_a_sample(tmp_path, monkeypatch, capsys, samples):
     # zero samples used to exit 0 and write a NaN aggregate
     monkeypatch.chdir(tmp_path)
-    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
-    assert run("sim", "--truth", "rot.json", "--estimate", "rot.json",
-               "--lower", "0,0", "--upper", "1,1", "--method", "monte-carlo",
+    save_model(trig_field(), "trig.json")
+    assert run("sim", "--truth", "trig.json", "--estimate", "trig.json",
+               "--lower", "0,0", "--upper", "1,1",
                "--mc-samples", samples, "--out", "sim.json") == 2
     assert "mc_samples must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "sim.json").exists()
+
+
+def test_sim_reports_the_method_the_fields_chose(tmp_path, monkeypatch):
+    # polynomial fields integrate exactly and report no sample; a trig atom
+    # samples --mc-samples points from --seed, which SYMFIELD_SEED overrides
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SYMFIELD_SEED", raising=False)
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    save_model(trig_field(), "trig.json")
+
+    def sim(truth, seed, out):
+        assert run("sim", "--truth", truth, "--estimate", "rot.json", "--lower",
+                   "0,0", "--upper", "1,1", "--mc-samples", "1000", "--seed",
+                   seed, "--out", out) == 0
+        return load_json(out)
+
+    poly = sim("rot.json", "5", "poly.json")
+    assert poly["method"] == "analytic"
+    assert "mc_samples" not in poly and "mc_seed" not in poly
+    mc = sim("trig.json", "5", "mc.json")
+    assert (mc["method"], mc["mc_samples"], mc["mc_seed"]) == ("monte-carlo", 1000, 5)
+    seven = sim("trig.json", "7", "seven.json")
+    assert seven["mc_seed"] == 7 and seven["aggregate"] != mc["aggregate"]
+    monkeypatch.setenv("SYMFIELD_SEED", "7")
+    sim("trig.json", "5", "env.json")
+    assert (tmp_path / "env.json").read_bytes() == (tmp_path / "seven.json").read_bytes()
 
 
 def test_sim_reports_a_degenerate_axis(tmp_path, monkeypatch):
@@ -950,17 +981,6 @@ def test_gen_refuses_a_parameter_its_generator_does_not_read(tmp_path, capsys):
                "--out", out) == 2
     assert "foo" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("ratio", ["nan", "inf", "-5"])
-def test_fit_levelset_refuses_an_elbow_ratio_that_is_not_finite_and_positive(
-        tmp_path, monkeypatch, ratio):
-    # nan and inf used to exit 0, nan reporting no elbow and selecting k_max
-    monkeypatch.chdir(tmp_path)
-    run("gen", "--name", "circle3d", "--size", "100", "--out", "c.csv")
-    assert run("fit-levelset", "--data", "c.csv", f"--elbow-ratio={ratio}",
-               "--out", "ls") == 2
-    assert not (tmp_path / "ls").exists()
 
 
 def test_grid_refuses_one_dimensional_points_for_a_planar_density(
@@ -1174,16 +1194,17 @@ def test_transform_angle_and_flow_param_are_exclusive(tmp_path, monkeypatch):
     assert not (tmp_path / "c.csv").exists()
 
 
-@pytest.mark.parametrize("options", [
-    ["--upper", "1e160,1e160"],
-    ["--upper", "1e300,1e300", "--method", "monte-carlo", "--mc-samples", "10"],
+@pytest.mark.parametrize("field,options", [
+    ("rot.json", ["--upper", "1e160,1e160"]),
+    ("trig.json", ["--upper", "1e300,1e300", "--mc-samples", "10"]),
 ], ids=["analytic", "monte-carlo"])
 def test_sim_over_a_domain_too_large_to_integrate_fails(tmp_path, monkeypatch,
-                                                        options):
+                                                        field, options):
     # both wrote "aggregate": NaN and exited 0
     monkeypatch.chdir(tmp_path)
     save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
-    assert run("sim", "--truth", "rot.json", "--estimate", "rot.json",
+    save_model(trig_field(), "trig.json")
+    assert run("sim", "--truth", field, "--estimate", field,
                "--lower", "0,0", *options, "--out", "sim.json") == 3
     assert not (tmp_path / "sim.json").exists()
 
@@ -1224,9 +1245,8 @@ def test_flow_with_an_exponent_past_a_c_long_is_a_numerical_failure(
      "symfield.datasets.generate"),
     (["flow", "--field", "rot.json", "--x0", "1,0", "--t", "1",
       "--steps", "10000000000"], "symfield.vfield.flow_integrate"),
-    (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--lower", "0,0",
-      "--upper", "1,1", "--method", "monte-carlo", "--mc-samples", "10000000000"],
-     "symfield.cli.similarity"),
+    (["sim", "--truth", "trig.json", "--estimate", "trig.json", "--lower", "0,0",
+      "--upper", "1,1", "--mc-samples", "10000000000"], "symfield.cli.similarity"),
 ], ids=["grid", "gen", "flow", "sim"])
 def test_memory_exhaustion_is_a_numerical_failure(tmp_path, monkeypatch,
                                                   command, target):
@@ -1239,6 +1259,7 @@ def test_memory_exhaustion_is_a_numerical_failure(tmp_path, monkeypatch,
     monkeypatch.setattr(target, exhausted)
     save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
     save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    save_model(trig_field(), "trig.json")
     assert run(*command, "--out", "out.csv") == 3
     assert not (tmp_path / "out.csv").exists()
 
@@ -1272,7 +1293,6 @@ FUZZ_POOLS = {
     "bandwidth": ["scott", "0.5", "0", "-1", "nan", "inf", "1e300", "1e-300",
                   "x", None],
     "name": [*sf.GENERATOR_NAMES, "bogus", None],
-    "method": ["auto", "analytic", "monte-carlo", "bogus", None],
     "family": ["reflection", "rotation", "user-linear", "bogus"],
     "strategy": ["plain", "project-affine", "extend-columns", "bogus"],
     "weights": ["none", "target", "bogus"],
@@ -1293,7 +1313,7 @@ FUZZ_COMMANDS = {
                ("--trig", False, "flag"), ("--out", "out.json", None)],
     "fit-levelset": [("--data", "d.csv", "csv"), ("--degree", "2", "count"),
                      ("--trig", False, "flag"), ("--k", None, "count"),
-                     ("--k-max", "3", "count"), ("--elbow-ratio", "10", "float"),
+                     ("--k-max", "3", "count"),
                      ("--strategy", "plain", "strategy"),
                      ("--known", None, "model"),
                      ("--opt-config", "opt.json", "opt"), ("--seed", "3", "seed"),
@@ -1317,8 +1337,8 @@ FUZZ_COMMANDS = {
              ("--out", "out.csv", None)],
     "sim": [("--truth", "rot.json", "model"), ("--estimate", "rot.json", "model"),
             ("--data", None, "csv"), ("--lower", "0,0", "vector"),
-            ("--upper", "1,1", "vector"), ("--method", "auto", "method"),
-            ("--mc-samples", "3", "count"), ("--seed", "3", "seed"),
+            ("--upper", "1,1", "vector"), ("--mc-samples", "3", "count"),
+            ("--seed", "3", "seed"),
             ("--out", "out.json", None)],
     "discrete": [("--model", "f.json", "model"), ("--data", "d.csv", "csv"),
                  ("--family", "reflection", "family"), ("--lo", None, "float"),

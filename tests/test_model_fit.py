@@ -179,13 +179,15 @@ def test_elbow_needs_at_least_one_component(k_max):
         select_components_elbow(data, monomial_basis(3, 1), k_max, MSE())
 
 
-@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 0.0, -5.0])
-def test_elbow_ratio_must_be_finite_and_positive(ratio):
-    # nan used to pass the positivity check and select k_max as "no elbow"
-    data, _ = sf.generate(sf.GeneratorSpec("circle3d", 50, 0))
-    with pytest.raises(ValueError, match="elbow_ratio"):
-        select_components_elbow(data, monomial_basis(3, 1), 2, MSE(),
-                                elbow_ratio=ratio)
+@pytest.mark.parametrize("second,selected", [(9e-6, 2), (1.1e-5, 1)])
+def test_elbow_is_the_first_jump_of_more_than_tenfold(monkeypatch, second, selected):
+    # losses 1e-6 then second: a jump of 9 is no elbow, one of 11 is
+    assert sf.model_fit.ELBOW_RATIO == 10.0
+    losses = iter([1e-6, second])
+    monkeypatch.setattr(sf.model_fit, "fit_level_set",
+                        lambda data, basis, k, config: (None, next(losses)))
+    trace = select_components_elbow(np.zeros((3, 2)), monomial_basis(2, 1), 2, MSE())
+    assert trace.selected == selected and trace.no_elbow == (selected == 2)
 
 
 # --- affine projection ------------------------------------------------------
