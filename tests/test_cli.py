@@ -656,6 +656,34 @@ def test_an_option_its_path_leaves_unread_exits_2(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,option", [
+    (["fit-levelset", "--data", "d.csv", "--k-max", "2"], ["--elbow-ratio", "10"]),
+    (["fit-levelset", "--data", "d.csv", "--k", "1"], ["--elbow-ratio", "10"]),
+    (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--lower", "0,0",
+      "--upper", "1,1"], ["--method", "auto"]),
+    (["sim", "--truth", "rot.json", "--estimate", "rot.json", "--lower", "0,0",
+      "--upper", "1,1"], ["--method", "analytic"]),
+    (["sim", "--truth", "trig.json", "--estimate", "trig.json", "--lower", "0,0",
+      "--upper", "1,1"], ["--method", "monte-carlo"]),
+], ids=["k-max-elbow-ratio", "k-elbow-ratio", "sim-auto", "sim-analytic",
+        "sim-monte-carlo"])
+def test_a_deleted_option_is_unrecognised(tmp_path, monkeypatch, capsys,
+                                          command, option):
+    # the elbow ratio is the constant ELBOW_RATIO and sim takes its method
+    # from the fields; the command line without the option exits 0
+    monkeypatch.chdir(tmp_path)
+    run("gen", "--name", "circle3d", "--size", "100", "--out", "d.csv")
+    save_model(poly_field(2, 1, {(0, 1): 1.0}, {(1, 0): -1.0}), "rot.json")
+    save_model(trig_field(), "trig.json")
+    assert run(*command, "--out", "valid") == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        run(*command, *option, "--out", "out")
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unread_options_are_options_of_their_command_that_default_to_none():
     # main sees an option as set when its parsed value is not None
     parsers = next(action for action in build_parser()._actions

@@ -190,6 +190,21 @@ def test_elbow_is_the_first_jump_of_more_than_tenfold(monkeypatch, second, selec
     assert trace.selected == selected and trace.no_elbow == (selected == 2)
 
 
+@pytest.mark.parametrize("losses,selected", [
+    ([1.0, 10.0], 2), ([0.0, 5e-12], 2), ([0.0, 2e-11], 1)],
+    ids=["tenfold", "floor-fivefold", "floor-twentyfold"])
+def test_elbow_jump_is_strict_and_measured_from_the_loss_floor(
+        monkeypatch, losses, selected):
+    # a jump of exactly ELBOW_RATIO is no elbow; a zero loss counts as
+    # ELBOW_LOSS_FLOOR, so the next loss is measured against 1e-12
+    assert sf.model_fit.ELBOW_LOSS_FLOOR == 1e-12
+    it = iter(losses)
+    monkeypatch.setattr(sf.model_fit, "fit_level_set",
+                        lambda data, basis, k, config: (None, next(it)))
+    trace = select_components_elbow(np.zeros((3, 2)), monomial_basis(2, 1), 2, MSE())
+    assert trace.selected == selected and trace.no_elbow == (selected == 2)
+
+
 # --- affine projection ------------------------------------------------------
 
 def plane_z_model():
