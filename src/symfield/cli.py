@@ -47,7 +47,7 @@ from .serialize import (
     _write_table,
 )
 from .similarity import IntegrationDomain, domain_from_data, similarity
-from .vfield import BasisVectorField, VectorFieldModel
+from .vfield import VectorFieldModel
 
 # numerical failures (exit 3), among them memory exhaustion and an exponent
 # past a C long; EmptyLevelSetError and LinAlgError are ValueErrors, so main
@@ -247,13 +247,13 @@ def cmd_flow_param(args) -> None:
 
 
 def cmd_flow(args) -> None:
-    field = _load_model(args.field, VectorFieldModel, BasisVectorField)
+    field = _load_model(args.field, VectorFieldModel)
     write_csv(args.out, vfield.flow_integrate(field, args.x0, args.t, args.steps))
 
 
 def cmd_sim(args) -> None:
-    X = _load_model(args.truth, VectorFieldModel, BasisVectorField)
-    X_hat = _load_model(args.estimate, VectorFieldModel, BasisVectorField)
+    X = _load_model(args.truth, VectorFieldModel)
+    X_hat = _load_model(args.estimate, VectorFieldModel)
     if args.data:
         domain = domain_from_data(read_csv(args.data)[0])
     elif args.lower is not None and args.upper is not None:
@@ -324,7 +324,7 @@ def cmd_transform(args) -> None:
 
 def cmd_grid(args) -> None:
     model = _load_model(args.model, ScalarFunctionModel, LevelSetModel,
-                        KdeModel, BasisVectorField)
+                        KdeModel, VectorFieldModel)
     box = IntegrationDomain(args.lower, args.upper)
     if args.resolution < 1:
         raise ValueError("resolution must be >= 1")

@@ -1,7 +1,10 @@
 """JSON and CSV persistence for models and datasets.
 
-Every model round-trips through a plain-JSON dictionary keyed by "type";
-KDE models reference their mixture centers through a sidecar CSV so the
+Every model round-trips through a plain-JSON dictionary keyed by "type".
+Vector fields are written as "vectorfield" (a basis and coefficient
+columns); a "basisfield" dictionary (one basis and coefficient list per
+component) is still read, as one field over the union of its bases.  KDE
+models reference their mixture centers through a sidecar CSV so the
 JSON stays small.  CSV files carry a header row (x1..xn, optional extras)
 and shortest-roundtrip decimal floats, so parse(emit(D)) == D exactly for
 finite doubles.
@@ -16,7 +19,7 @@ import numpy as np
 
 from .features import FeatureAtom, FeatureBasis
 from .model_fit import KdeModel, LevelSetModel, ScalarFunctionModel
-from .vfield import BasisVectorField, VectorFieldModel
+from .vfield import VectorFieldModel
 
 __all__ = [
     "atom_to_dict",
@@ -120,17 +123,6 @@ def model_to_dict(model, centers_file: str | None = None) -> dict:
                 for j in range(model.n_fields)
             ],
         }
-    if isinstance(model, BasisVectorField):
-        return {
-            "type": "basisfield",
-            "components": [
-                {
-                    "basis": basis_to_dict(c.basis),
-                    "coefficients": [float(v) for v in c.coefficients],
-                }
-                for c in model.components
-            ],
-        }
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
@@ -165,7 +157,7 @@ def _model_from_dict(d: dict, base_dir: str):
             np.array(d["columns"], dtype=float).T,
         )
     if kind == "basisfield":
-        return BasisVectorField(
+        return VectorFieldModel.from_components(
             [
                 ScalarFunctionModel(
                     basis_from_dict(c["basis"]),

@@ -1,24 +1,22 @@
 """Similarity of vector fields via normalized component inner products.
 
-Component functions are compared with L2 inner products over the axis-
-aligned box spanned by a dataset; the score is the mean of the absolute
-normalized inner products, so it ignores per-component sign and scale.
-Polynomial components integrate in closed form; anything else falls back
-to seeded Monte Carlo, where each run of a field's components over one basis
-is read from one shared design matrix.
+Each field is a one-field VectorFieldModel, and its component functions are
+compared with L2 inner products over the axis-aligned box spanned by a
+dataset; the score is the mean of the absolute normalized inner products, so
+it ignores per-component sign and scale.  Polynomial components integrate in
+closed form; anything else falls back to seeded Monte Carlo, where each
+field's components are read from one design matrix of its basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from numbers import Integral
 
 import numpy as np
 
-from .features import FeatureAtom, design_matrix
 from .model_fit import ScalarFunctionModel
-from .vfield import BasisVectorField, VectorFieldModel
+from .vfield import VectorFieldModel
 
 __all__ = [
     "IntegrationDomain",
@@ -96,16 +94,6 @@ def domain_from_data(data: np.ndarray) -> IntegrationDomain:
     return IntegrationDomain(lower, upper, degenerate)
 
 
-def _field_components(X) -> list[ScalarFunctionModel]:
-    if isinstance(X, VectorFieldModel):
-        if X.n_fields != 1:
-            raise ValueError("similarity compares single fields")
-        X = X.field(0)
-    if isinstance(X, BasisVectorField):
-        return X.components
-    raise TypeError("expected a VectorFieldModel or BasisVectorField")
-
-
 def _as_poly(model: ScalarFunctionModel) -> dict | None:
     """Exponent-tuple -> coefficient map, or None for non-polynomials."""
     poly: dict[tuple, float] = {}
@@ -144,38 +132,26 @@ def _poly_inner(f: dict, g: dict, domain: IntegrationDomain) -> float:
     return total
 
 
-def _component_values(components: list[ScalarFunctionModel],
-                      S: np.ndarray) -> np.ndarray:
-    """(N, len(components)) values at the rows of S.  A run of components
-    over one basis shares one design matrix, and only one is held at a time:
-    each column is the product c(S) takes, so its bits are c(S)'s."""
-    columns = []
-    for basis, run in groupby(components, key=lambda c: c.basis):
-        B = design_matrix(basis, S)
-        columns += [B @ c.coefficients for c in run]
-        del B  # freed before the next basis's matrix is built
-    return np.column_stack(columns)
-
-
 def similarity(
-    X,
-    X_hat,
+    X: VectorFieldModel,
+    X_hat: VectorFieldModel,
     domain: IntegrationDomain,
     method: str = "auto",
     mc_samples: int = 100_000,
     mc_seed: int = 0,
 ) -> SimilarityReport:
-    """Mean absolute cosine of component functions over the domain box.
+    """Mean absolute cosine of the component functions of two one-field
+    models over the domain box.
 
     The Monte-Carlo method evaluates the components at mc_samples seeded
-    uniform points; the components of one field that share a basis, as a
-    VectorFieldModel's all do, are read from one design matrix.
+    uniform points, each field's from one design matrix of its basis, which
+    is freed before the other field's is built.
     """
     if (isinstance(mc_samples, bool) or not isinstance(mc_samples, Integral)
             or mc_samples < 1):
         raise ValueError(f"mc_samples must be an integer >= 1, got {mc_samples!r}")
-    f = _field_components(X)
-    g = _field_components(X_hat)
+    f = X.components
+    g = X_hat.components
     if len(f) != len(g):
         raise ValueError("fields have different dimensions")
     if len(f) != domain.dimension:
@@ -205,8 +181,8 @@ def similarity(
     elif method == "monte-carlo":
         rng = np.random.default_rng(mc_seed)
         S = rng.uniform(domain.lower, domain.upper, size=(mc_samples, n))
-        fv = _component_values(f, S)
-        gv = _component_values(g, S)
+        fv = X(S)
+        gv = X_hat(S)
         inner = np.mean(fv * gv, axis=0)
         norm_f = np.sqrt(np.mean(fv * fv, axis=0))
         norm_g = np.sqrt(np.mean(gv * gv, axis=0))

@@ -1,10 +1,16 @@
 """Vector-field symmetry machinery.
 
-Builds the extended feature matrix whose nullspace columns are coefficient
-vectors of annihilating vector fields, estimates those fields, estimates
-additional functions the fields annihilate (invariant features), fits flow
-parameters, integrates flows, and supports restricted searches over a
-user-supplied basis of vector fields.
+A vector field X = sum_i alpha^i d/dx_i has one component function per
+coordinate, each a combination over a feature dictionary.  VectorFieldModel,
+the one field type, holds c such fields over one dictionary; a field whose
+closed-form components use different bases is one over the union of those
+bases (VectorFieldModel.from_components, also named BasisVectorField).
+
+The module builds the extended feature matrix whose nullspace columns are
+coefficient vectors of annihilating vector fields, estimates those fields,
+estimates additional functions the fields annihilate (invariant features),
+fits flow parameters, integrates flows, and supports restricted searches
+over a user-supplied basis of vector fields.
 """
 
 from __future__ import annotations
@@ -48,10 +54,14 @@ class FlowDivergedError(FloatingPointError):
 
 @dataclass
 class VectorFieldModel:
-    """c vector fields over a shared coefficient dictionary.
+    """c vector fields X_j = sum_i alpha^i_j d/dx_i over one coefficient
+    dictionary.
 
     Column j of ``columns`` stacks n blocks of m coefficients; block i holds
-    the coefficients of component alpha^i of field j.
+    the coefficients of component alpha^i of field j.  from_components (also
+    named BasisVectorField) builds one field from a closed-form component per
+    coordinate.  A one-field model lists its components, evaluates itself and
+    applies itself to a function; field(j) takes one field of several.
     """
 
     basis: FeatureBasis
@@ -61,11 +71,30 @@ class VectorFieldModel:
         self.columns = np.asarray(self.columns, dtype=float)
         if self.columns.ndim == 1:
             self.columns = self.columns[:, None]
+        if self.columns.ndim != 2:
+            raise ValueError("coefficient columns must form an (n * m, c) matrix")
         n, m = self.basis.dimension, len(self.basis)
         if self.columns.shape[0] != n * m:
             raise ValueError("coefficient column length must be n * m")
         if not np.all(np.isfinite(self.columns)):
             raise ValueError("coefficient columns must be finite")
+
+    @classmethod
+    def from_components(
+        cls, components: list[ScalarFunctionModel]
+    ) -> "VectorFieldModel":
+        """One field from one scalar model per coordinate, over the union of
+        their bases with each coefficient at its atom's index."""
+        dims = {c.basis.dimension for c in components}
+        if len(dims) != 1 or len(components) != dims.pop():
+            raise ValueError("need one component per coordinate")
+        basis = FeatureBasis(len(components))
+        for comp in components:
+            basis = basis.extend(comp.basis.atoms)
+        C = np.zeros((len(components), len(basis)))
+        for row, comp in zip(C, components):
+            row[[basis.index(a) for a in comp.basis.atoms]] = comp.coefficients
+        return cls(basis, C.ravel())
 
     @property
     def dimension(self) -> int:
@@ -81,47 +110,45 @@ class VectorFieldModel:
             self.basis.dimension, len(self.basis)
         )
 
-    def components(self, points: np.ndarray) -> np.ndarray:
-        """(N, c, n) component values alpha^i_j at each point."""
+    def _one_field(self) -> np.ndarray:
+        """The blocks of a one-field model; several fields are refused."""
+        if self.n_fields != 1:
+            raise ValueError(
+                f"need a single field; the model holds {self.n_fields}")
+        return self.blocks(0)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """(N, c, n) component values alpha^i_j of every field at each point."""
         B = design_matrix(self.basis, points)
         out = np.empty((B.shape[0], self.n_fields, self.dimension))
         for j in range(self.n_fields):
             out[:, j, :] = B @ self.blocks(j).T
         return out
 
-    def field(self, j: int = 0) -> "BasisVectorField":
-        """Field j as a closed-form vector field."""
-        return BasisVectorField(
-            [
-                ScalarFunctionModel(self.basis, row)
-                for row in self.blocks(j)
-            ]
-        )
-
-
-@dataclass
-class BasisVectorField:
-    """A vector field with closed-form component functions."""
-
-    components: list[ScalarFunctionModel]
-
-    def __post_init__(self):
-        dims = {c.basis.dimension for c in self.components}
-        if len(dims) != 1 or len(self.components) != dims.pop():
-            raise ValueError("need one component per coordinate")
+    def field(self, j: int = 0) -> "VectorFieldModel":
+        """Field j as a one-field model."""
+        return VectorFieldModel(self.basis, self.columns[:, j])
 
     @property
-    def dimension(self) -> int:
-        return len(self.components)
+    def components(self) -> list[ScalarFunctionModel]:
+        """The component functions alpha^i of a one-field model."""
+        return [ScalarFunctionModel(self.basis, row) for row in self._one_field()]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """(N, n) component values at each point."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.column_stack([c(points) for c in self.components])
+        """(N, n) component values of a one-field model at each point.  One
+        design matrix B serves every component, and column i is B @ alpha^i,
+        the product ScalarFunctionModel takes, so it has the same bits."""
+        rows = self._one_field()
+        B = design_matrix(self.basis, points)
+        return np.column_stack([B @ row for row in rows])
 
     def apply_to(self, f: ScalarFunctionModel, points: np.ndarray) -> np.ndarray:
         """X(f) at each point: alpha . grad f."""
         return np.einsum("ij,ij->i", self(points), f.gradient(points))
+
+
+# the closed-form field of one component model per coordinate
+BasisVectorField = VectorFieldModel.from_components
 
 
 def _jacobians(model, points: np.ndarray) -> np.ndarray:
@@ -202,7 +229,7 @@ def invariant_feature_matrix(
     """(c N, m2) matrix with entry [(i, j), k] = X_j(b^k)(x_i)."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     Jc = jacobian_stack(candidate_basis, data)  # (N, m2, n)
-    alphas = fields.components(data)  # (N, c, n)
+    alphas = fields.values(data)  # (N, c, n)
     N, c, _ = alphas.shape
     return np.einsum("imn,icn->icm", Jc, alphas).reshape(
         N * c, len(candidate_basis)
@@ -258,29 +285,17 @@ def estimate_flow_parameter(
     )
 
 
-def _velocity(field):
-    """y -> alpha(y) as one (n, m) coefficient matrix over one basis.
+def _velocity(field: VectorFieldModel):
+    """y -> alpha(y) for a one-field model, from its (n, m) coefficient blocks.
 
-    A VectorFieldModel gives its basis and field 0's blocks; a
-    BasisVectorField gives the union of its component bases, with each
-    coefficient at its atom's index.  A polynomial basis evaluates its atoms
-    as one product over a table of coordinate powers, one row per distinct
-    exponent; any other basis takes a design-matrix row.  Each power is
-    features._power, the repeated squaring FeatureAtom.values uses, and each
-    component is its own (1, m) @ (m,) product, as in ScalarFunctionModel,
-    so a field over one basis gives the same bits as evaluating its
-    components one by one.
+    A polynomial basis evaluates its atoms as one product over a table of
+    coordinate powers, one row per distinct exponent; any other basis takes a
+    design-matrix row.  Each power is features._power, the repeated squaring
+    FeatureAtom.values uses, and each component is its own (1, m) @ (m,)
+    product, as in ScalarFunctionModel, so the field gives the same bits as
+    evaluating its components one by one.
     """
-    if isinstance(field, VectorFieldModel):
-        basis, C = field.basis, field.blocks(0)
-    else:
-        basis = FeatureBasis(field.dimension)
-        for comp in field.components:
-            basis = basis.extend(comp.basis.atoms)
-        C = np.zeros((field.dimension, len(basis)))
-        for row, comp in zip(C, field.components):
-            row[[basis.index(a) for a in comp.basis.atoms]] = comp.coefficients
-    rows = C[:, None, :]
+    basis, rows = field.basis, field._one_field()[:, None, :]
     if not basis.is_polynomial():
         return lambda y: (rows @ design_matrix(basis, y[None, :])[0])[:, 0]
     E = np.array([a.exponents for a in basis.atoms], dtype=int).reshape(
@@ -302,7 +317,7 @@ def _velocity(field):
 
 
 def flow_integrate(
-    field, x0, t: float, steps: int
+    field: VectorFieldModel, x0, t: float, steps: int
 ) -> np.ndarray:
     """Classical fixed-step RK4 trajectory of dx/dt = alpha(x).
 
@@ -310,16 +325,13 @@ def flow_integrate(
     multiplies one (n, m) coefficient matrix by the atom values, which a
     polynomial basis takes from one product over a table of coordinate
     powers, indexed by its (m, n) exponent table, not from a design-matrix
-    row.  A VectorFieldModel must hold one field; x0 must be a finite
-    length-n vector and t finite.
+    row.  The model must hold one field; x0 must be a finite length-n vector
+    and t finite.
 
     Returns the (steps + 1, n) array of states including the start point.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if isinstance(field, VectorFieldModel) and field.n_fields != 1:
-        raise ValueError(
-            f"flow integrates a single field; the model holds {field.n_fields}")
     x = np.array(x0, dtype=float)
     if x.shape != (field.dimension,):
         raise ValueError(
@@ -348,7 +360,7 @@ def flow_integrate(
 
 
 def basis_restricted_search(
-    basis_fields: list[BasisVectorField],
+    basis_fields: list[VectorFieldModel],
     f: ScalarFunctionModel,
     data: np.ndarray,
     config: manifold.OptimizerConfig,

@@ -281,11 +281,7 @@ def test_criterion_09_property_suites():
                     prod[key] = prod.get(key, 0.0) + c1 * c2
             comps.append(prod)
         field = poly_field(2, 3, *comps)
-        model = sf.VectorFieldModel(
-            monomial_basis(2, 3),
-            np.concatenate([c.coefficients for c in field.components]),
-        )
-        inv, _ = estimate_invariants(model, data, cand, 1, MSE(ep=20000))
+        inv, _ = estimate_invariants(field, data, cand, 1, MSE(ep=20000))
         subspaces.append(inv[0].coefficients)
     u, v = subspaces
     angle = np.arccos(

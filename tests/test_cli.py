@@ -492,6 +492,29 @@ def test_grid_writes_every_output(tmp_path, case):
     assert np.array_equal(table[:, 2:], model(table[:, :2]))
 
 
+def test_grid_reads_a_found_field_as_its_basisfield_form(tmp_path, monkeypatch):
+    # grid refused find-vf's vectorfield output and gridded the same field
+    # written as basisfield components
+    monkeypatch.chdir(tmp_path)
+    data, targets = sf.generate(sf.GeneratorSpec("gaussian-quadratic", 200, 0))
+    write_csv("d.csv", data, targets)
+    save_json({"loss": "mean-squared"}, "opt.json")
+    assert run("fit-fn", "--data", "d.csv", "--out", "f.json") == 0
+    assert run("find-vf", "--model", "f.json", "--data", "d.csv",
+               "--opt-config", "opt.json", "--out", "vf.json") == 0
+    found = load_json("vf.json")
+    column, m = found["columns"][0], len(found["basis"]["atoms"])
+    save_json({"type": "basisfield", "components": [
+        {"basis": found["basis"], "coefficients": column[i * m:(i + 1) * m]}
+        for i in range(2)]}, "bf.json")
+    for name in ("vf", "bf"):
+        assert run("grid", "--model", f"{name}.json", "--lower=-1,-1", "--upper",
+                   "1,1", "--resolution", "7", "--out", f"{name}.csv") == 0
+    assert (tmp_path / "vf.csv").read_bytes() == (tmp_path / "bf.csv").read_bytes()
+    with open(tmp_path / "vf.csv") as fh:
+        assert fh.readline().strip() == "x1,x2,value1,value2"
+
+
 @pytest.mark.parametrize("option", ["--invariants", "--flow-param"])
 def test_transform_model_of_another_dimension_fails(tmp_path, monkeypatch,
                                                     option):
@@ -908,8 +931,11 @@ def test_flow_negative_exponent_time(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", [
-    ["grid", "--model", "vfm.json", "--lower", "0,0", "--upper", "1,1"],
+    ["grid", "--model", "vfm2.json", "--lower", "0,0", "--upper", "1,1"],
     ["find-vf", "--model", "vfm.json", "--data", "d.csv"],
+    ["flow", "--field", "deep.json", "--x0", "1", "--t", "1"],
+    ["sim", "--truth", "deep.json", "--estimate", "deep.json", "--lower", "0",
+     "--upper", "1"],
     ["transform", "--data", "d.csv", "--invariants", "list.json"],
     ["transform", "--data", "d.csv", "--invariants", "kde_invariants.json"],
     ["find-vf", "--model", "f.json", "--data", "d.csv", "--opt-config", "list.json"],
@@ -922,14 +948,20 @@ def test_flow_negative_exponent_time(tmp_path, monkeypatch):
     ["fit-kde", "--data", "d.csv", "--bandwidth", "1e300"],
 ])
 def test_malformed_model_and_config_inputs_fail(tmp_path, monkeypatch, command):
-    """A vector-field model where a function is needed, an invariants or
-    optimizer file that is not an object, and a bandwidth that is not positive
-    with a finite normal square are validation errors."""
+    """A model of several fields gridded as one, a vector-field model where a
+    function is needed, vector-field columns nested deeper than a matrix, an
+    invariants or optimizer file that is not an object, and a bandwidth that
+    is not positive with a finite normal square are validation errors."""
     monkeypatch.chdir(tmp_path)
     write_csv("d.csv", np.random.default_rng(0).standard_normal((20, 2)))
     save_model(poly_model(monomial_basis(2, 2), {(2, 0): 1.0}), "f.json")
     save_model(sf.VectorFieldModel(monomial_basis(2, 1), [0, 0, 1.0, 0, -1.0, 0]),
                "vfm.json")
+    save_model(sf.VectorFieldModel(monomial_basis(2, 1), np.eye(6)[:, :2]),
+               "vfm2.json")
+    save_json({"type": "vectorfield", "dimension": 1, "columns": [[[1.0]]], "basis":
+               {"dimension": 1, "atoms": [{"kind": "monomial", "exponents": [0]}]}},
+              "deep.json")
     save_model(sf.kde_fit(read_csv("d.csv")[0]), "kde.json")
     save_json({"models": [load_json("kde.json")]}, "kde_invariants.json")
     (tmp_path / "list.json").write_text("[1, 2]\n")
@@ -1252,7 +1284,7 @@ def test_find_invariants_on_one_row_writes_no_nan_correlations(
 def _field_with_exponent(e):
     """The field (x1, x2) with x1's exponent replaced by e."""
     field = model_to_dict(poly_field(2, 1, {(1, 0): 1.0}, {(0, 1): 1.0}))
-    field["components"][0]["basis"]["atoms"][1]["exponents"] = [e, 0]
+    field["basis"]["atoms"][1]["exponents"] = [e, 0]
     return field
 
 
@@ -1488,7 +1520,7 @@ def _check_outputs(tmp, inputs, argv):
     elif args.command == "grid":
         n, model = args.lower.size, load_model(args.model)
         k = model.W.shape[1] if isinstance(model, sf.LevelSetModel) else (
-            n if isinstance(model, sf.BasisVectorField) else 1)
+            n if isinstance(model, sf.VectorFieldModel) else 1)
         assert read_csv(out)[0].shape == (args.resolution**n, n + k)
     elif args.command == "gen":
         assert len(read_csv(out)[0]) == args.size

@@ -23,7 +23,7 @@ from symfield.serialize import (
     save_model,
     write_csv,
 )
-from symfield.vfield import BasisVectorField, VectorFieldModel
+from symfield.vfield import VectorFieldModel
 
 EXTREME = [0.0, -0.0, 1.0, -1.5, 1e-308, -1e308, np.pi, 1 / 3, 2**-53]
 
@@ -81,20 +81,47 @@ def test_vectorfield_model_roundtrip(tmp_path):
     assert again.basis == basis
 
 
+def _mono(*exponents):
+    return {"kind": "monomial", "exponents": list(exponents)}
+
+
+# components over a monomial, a trig and a product-atom basis, which share
+# the atoms x2 and 1 in another order
+BASISFIELD = {"type": "basisfield", "components": [
+    {"basis": {"dimension": 3, "atoms": [_mono(0, 0, 0), _mono(1, 0, 0),
+                                         _mono(0, 1, 0), _mono(2, 0, 1)]},
+     "coefficients": [0.5, -1.25, 3.0, 0.1]},
+    {"basis": {"dimension": 3, "atoms": [
+        {"kind": "sin", "axis": 2}, {"kind": "cos", "axis": 0}, _mono(0, 1, 0)]},
+     "coefficients": [1.0, -0.75, 2.5]},
+    {"basis": {"dimension": 3, "atoms": [
+        {"kind": "product", "exponents": [1, 0, 0],
+         "factor": [[_mono(0, 0, 1), 2.0], [{"kind": "sin", "axis": 1}, -0.5]]},
+        _mono(0, 0, 0)]},
+     "coefficients": [1.5, -2.0]},
+]}
+
+
 def test_basisfield_model_roundtrip(tmp_path):
-    model = BasisVectorField(
-        [
-            sf.ScalarFunctionModel(monomial_basis(2, 1), [0.0, 1.0, -2.0]),
-            sf.ScalarFunctionModel(trig_extend(monomial_basis(2, 0)),
-                                   [1.0, 0.5, 0.0, -0.25, 0.125]),
-        ]
-    )
+    """A basisfield JSON loads as one field over the union of its bases, is
+    written back as a vectorfield and round-trips bit for bit."""
+    field = model_from_dict(BASISFIELD)
+    assert isinstance(field, VectorFieldModel) and field.n_fields == 1
+    assert len(field.basis) == 7  # 4 + 3 + 2 atoms, x2 and 1 twice
+    points = np.random.default_rng(4).uniform(-2.0, 2.0, (200, 3))
+    values = field(points)
+    for i, c in enumerate(BASISFIELD["components"]):
+        own = ScalarFunctionModel(basis_from_dict(c["basis"]), c["coefficients"])
+        # over the union basis the products sum in another order
+        assert np.allclose(values[:, i], own(points), rtol=1e-14, atol=1e-14)
     path = str(tmp_path / "bf.json")
-    save_model(model, path)
+    save_model(field, path)
+    assert load_json(path)["type"] == "vectorfield"
     again = load_model(path)
-    for a, b in zip(again.components, model.components):
-        assert a.basis == b.basis
-        assert np.array_equal(a.coefficients, b.coefficients)
+    assert again.basis == field.basis
+    assert np.array_equal(again.columns, field.columns)
+    save_model(again, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "bf.json").read_bytes()
 
 
 def test_kde_model_roundtrip_with_sidecar(tmp_path):
@@ -146,6 +173,9 @@ def _scalar_dict():
         {"kind": "monomial", "exponents": 5}]}, "coefficients": [1.0]},
     {"type": "basisfield", "components": [1, 2]},
     {"type": "basisfield", "components": 5},
+    {"type": "basisfield", "components": BASISFIELD["components"][:2]},
+    {"type": "vectorfield", "basis": basis_to_dict(monomial_basis(1, 0)),
+     "columns": [[[1.0]]]},
     {"type": "levelset", "basis": _scalar_dict()["basis"]},
     {"basis": 5},
 ])

@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -15,13 +14,13 @@ from symfield.features import (
 )
 from symfield.similarity import (
     IntegrationDomain,
+    _as_poly,
     _monomial_box_integral,
+    _poly_inner,
     domain_from_data,
     similarity,
 )
 
-# the package exports the function similarity under the module's name
-similarity_module = importlib.import_module("symfield.similarity")
 BOX = IntegrationDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
 
@@ -130,7 +129,8 @@ def _shared_matrix_pairs():
     rng = np.random.default_rng(5)
     trig = trig_extend(monomial_basis(2, 1))
     model = sf.VectorFieldModel(trig, rng.standard_normal((2 * len(trig), 1)))
-    # distinct bases, and two equal bases that are distinct objects
+    # components over distinct bases, and over two equal bases that are
+    # distinct objects, each field one over the union of its bases
     distinct = sf.BasisVectorField([_random_component(monomial_basis(2, 2), rng),
                                     _random_component(trig, rng)])
     equal = sf.BasisVectorField([_random_component(monomial_basis(2, 3), rng),
@@ -145,12 +145,38 @@ def test_shared_design_matrix_matches_one_call_per_component(monkeypatch, pair):
     box = IntegrationDomain(np.array([-1.0, 0.5]), np.array([2.0, 3.0]))
     fast = similarity(X, Y, box, method="monte-carlo", mc_samples=5000, mc_seed=3)
     # each component evaluated by its own c(S), one design matrix per call
-    monkeypatch.setattr(similarity_module, "_component_values",
-                        lambda comps, S: np.column_stack([c(S) for c in comps]))
+    monkeypatch.setattr(sf.VectorFieldModel, "__call__", lambda field, S:
+                        np.column_stack([c(S) for c in field.components]))
     exact = similarity(X, Y, box, method="monte-carlo", mc_samples=5000, mc_seed=3)
     assert [v.hex() for v in fast.per_component] == [
         v.hex() for v in exact.per_component]
     assert fast.aggregate.hex() == exact.aggregate.hex()
+
+
+def test_analytic_score_of_components_over_different_bases():
+    # each component is integrated over the union of the field's bases, so
+    # _poly_inner may sum its terms in another order than over the
+    # component's own basis: the scores agree within 1e-14
+    rng = np.random.default_rng(9)
+    odd = FeatureBasis(2, (FeatureAtom("monomial", (0, 2)),
+                           FeatureAtom("monomial", (1, 0))))
+    f = [_random_component(monomial_basis(2, 1), rng),
+         _random_component(monomial_basis(2, 3), rng)]
+    g = [_random_component(monomial_basis(2, 2), rng), _random_component(odd, rng)]
+    report = similarity(sf.BasisVectorField(f), sf.BasisVectorField(g), BOX)
+    assert report.method == "analytic"
+    for score, fi, gi in zip(report.per_component, f, g):
+        p, q = _as_poly(fi), _as_poly(gi)
+        own = abs(_poly_inner(p, q, BOX)) / np.sqrt(
+            _poly_inner(p, p, BOX) * _poly_inner(q, q, BOX))
+        assert score == pytest.approx(own, rel=1e-14, abs=1e-14)
+
+
+def test_similarity_compares_single_fields():
+    X = random_quadratic_field(8)
+    two = sf.VectorFieldModel(X.basis, np.column_stack([X.columns, X.columns]))
+    with pytest.raises(ValueError, match="single field"):
+        similarity(X, two, BOX)
 
 
 def test_monte_carlo_holds_one_design_matrix_at_a_time():

@@ -80,7 +80,7 @@ def test_estimate_field_orthogonal_to_gradient_of_x():
         f, data, monomial_basis(2, 0), 1, MSE(ep=500)
     )
     # field must be c * d/dy
-    comp = model.components(data[:5])
+    comp = model.values(data[:5])
     assert np.abs(comp[:, 0, 0]).max() <= 1e-6
     assert trace.final_loss <= 1e-10
 
@@ -294,15 +294,13 @@ def test_flow_refuses_a_model_of_several_fields():
                           [1.0, 0.0], 1.0, 10).shape == (11, 2)
 
 
-def _reference_flow(field, x0, t, steps):
-    """flow_integrate before the velocity was built once: one field call per
-    RK4 stage, each component through its own design-matrix row."""
-    if isinstance(field, VectorFieldModel):
-        field = field.field(0)
+def _reference_flow(components, x0, t, steps):
+    """flow_integrate before the velocity was built once: per RK4 stage, each
+    component scalar model through its own design-matrix row."""
     x = np.asarray(x0, dtype=float).copy()
 
     def velocity(y):
-        return field(y[None, :])[0]
+        return np.array([c(y[None, :])[0] for c in components])
 
     h = t / steps
     out = np.empty((steps + 1, x.size))
@@ -330,11 +328,11 @@ def test_polynomial_flow_bitwise_equals_reference(n, degree):
     assert not X.blocks(0).flags.contiguous
     x0 = rng.uniform(-1, 1, n)
     assert np.array_equal(flow_integrate(X, x0, 0.7, 60),
-                          _reference_flow(X, x0, 0.7, 60))
+                          _reference_flow(X.components, x0, 0.7, 60))
     # the form a saved field loads in: one shared basis, contiguous rows
     single = VectorFieldModel(basis, X.columns[:, 0].copy()).field(0)
     assert np.array_equal(flow_integrate(single, x0, 0.7, 60),
-                          _reference_flow(single, x0, 0.7, 60))
+                          _reference_flow(single.components, x0, 0.7, 60))
 
 
 def test_mixed_basis_field_flow_matches_reference():
@@ -347,19 +345,20 @@ def test_mixed_basis_field_flow_matches_reference():
         trig_extend(monomial_basis(3, 0)),
         monomial_basis(3, 1, include_constant=False),
     ]
-    X = BasisVectorField([
-        sf.ScalarFunctionModel(b, 0.5 * rng.standard_normal(len(b)))
-        for b in bases
-    ])
+    # the field is one over the union of the bases; the reference evaluates
+    # each component over its own basis, which sums in another order
+    components = [sf.ScalarFunctionModel(b, 0.5 * rng.standard_normal(len(b)))
+                  for b in bases]
     x0 = rng.uniform(-1, 1, 3)
-    traj = flow_integrate(X, x0, 1.5, 150)
-    assert np.allclose(traj, _reference_flow(X, x0, 1.5, 150), rtol=1e-13, atol=0)
+    traj = flow_integrate(BasisVectorField(components), x0, 1.5, 150)
+    assert np.allclose(traj, _reference_flow(components, x0, 1.5, 150),
+                       rtol=1e-13, atol=0)
 
 
 def test_diverging_flow_fails_at_reference_step():
     X = poly_field(1, 2, {(2,): 1.0})  # dx/dt = x^2 from x0 = 1
     with pytest.raises(FlowDivergedError) as reference:
-        _reference_flow(X, [1.0], 2.0, 20)
+        _reference_flow(X.components, [1.0], 2.0, 20)
     with pytest.raises(FlowDivergedError) as fast:
         flow_integrate(X, [1.0], 2.0, 20)
     assert fast.value.step == reference.value.step
@@ -433,7 +432,7 @@ def test_vector_field_model_blocks_and_eval():
         monomial_basis(2, 1), np.array([0, 0, -1.0, 0, 1.0, 0])
     )
     pts = np.array([[2.0, 3.0]])
-    comp = model.components(pts)
+    comp = model.values(pts)
     assert np.allclose(comp[0, 0], [-3.0, 2.0])
     field = model.field(0)
     assert np.allclose(field(pts), [[-3.0, 2.0]])
@@ -442,6 +441,47 @@ def test_vector_field_model_blocks_and_eval():
 def test_vector_field_column_length_checked():
     with pytest.raises(ValueError):
         VectorFieldModel(monomial_basis(2, 1), np.ones(5))
+
+
+def test_vector_field_columns_must_be_a_matrix():
+    # one level of nesting more than (n * m, c) used to load and integrate
+    with pytest.raises(ValueError, match="matrix"):
+        VectorFieldModel(monomial_basis(1, 0), [[[1.0]]])
+
+
+def test_from_components_puts_each_coefficient_at_its_atom():
+    x, y = FeatureAtom("monomial", (1, 0)), FeatureAtom("monomial", (0, 1))
+    sin_y = FeatureAtom("sin", axis=1)
+    X = BasisVectorField([
+        sf.ScalarFunctionModel(FeatureBasis(2, (y, x)), [2.0, 3.0]),
+        sf.ScalarFunctionModel(FeatureBasis(2, (sin_y, x)), [5.0, 7.0]),
+    ])
+    assert X.basis.atoms == (y, x, sin_y)
+    assert X.blocks(0).tolist() == [[2.0, 3.0, 0.0], [0.0, 7.0, 5.0]]
+    assert [c.basis for c in X.components] == [X.basis, X.basis]
+
+
+@pytest.mark.parametrize("components", [
+    [], [poly_model(monomial_basis(2, 1), {(1, 0): 1.0})],
+    [poly_model(monomial_basis(1, 1), {(1,): 1.0}),
+     poly_model(monomial_basis(2, 1), {(1, 0): 1.0})],
+])
+def test_from_components_needs_one_component_per_coordinate(components):
+    with pytest.raises(ValueError, match="one component per coordinate"):
+        BasisVectorField(components)
+
+
+def test_one_field_operations_refuse_several_fields():
+    basis = monomial_basis(2, 1)
+    X = VectorFieldModel(basis, np.arange(12.0).reshape(6, 2))
+    f = poly_model(basis, {(1, 0): 1.0})
+    pts = np.array([[0.5, -1.0]])
+    for use in (lambda: X.components, lambda: X(pts), lambda: X.apply_to(f, pts)):
+        with pytest.raises(ValueError, match="single field"):
+            use()
+    second = X.field(1)
+    assert second.n_fields == 1
+    assert np.array_equal(second(pts)[0], X.values(pts)[0, 1])
 
 
 def test_similarity_sign_invariance_of_estimate():
