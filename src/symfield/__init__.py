@@ -13,7 +13,6 @@ from .datasets import GENERATOR_NAMES, GeneratorSpec, generate
 from .discrete import (
     DiscreteFitResult,
     ParametricFamily,
-    fit_density,
     fit_density_rotation,
     fit_discrete,
     reflection_family,

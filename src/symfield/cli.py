@@ -269,8 +269,6 @@ def cmd_discrete(args) -> None:
     bounds = None if args.lo is None and args.hi is None else (args.lo, args.hi)
     data, _ = read_csv(args.data)
     model = _load_model(args.model, ScalarFunctionModel, KdeModel)
-    if isinstance(model, KdeModel) and args.opt_config is not None:
-        raise ValueError("a KDE model reads no --opt-config: its fit is mean-absolute")
     if args.family == "reflection":
         family = discrete.reflection_family()
     elif args.family == "rotation":
@@ -282,9 +280,7 @@ def cmd_discrete(args) -> None:
             _load_member(args.entries, "entries"),
             1 if args.n_params is None else args.n_params,
             "unit-norm" if bounds is None else "interval", bounds)
-    result = (discrete.fit_density(model, data, family)
-              if isinstance(model, KdeModel)
-              else discrete.fit_discrete(model, data, family, _opt_config(args)))
+    result = discrete.fit_discrete(model, data, family, _opt_config(args))
     save_json(result.to_dict(), args.out)
 
 
@@ -332,11 +328,7 @@ def cmd_grid(args) -> None:
             for lo, hi in zip(box.lower, box.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    if isinstance(model, KdeModel):
-        values = model_fit.kde_eval(model, points)
-    else:
-        values = model(points)
-    values = values.reshape(len(points), -1)  # one column per output
+    values = model(points).reshape(len(points), -1)  # one column per output
     k = values.shape[1]
     header = [f"x{i + 1}" for i in range(points.shape[1])] + (
         ["value"] if k == 1 else [f"value{j + 1}" for j in range(k)])
@@ -448,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discrete", help="fit a discrete parametric symmetry")
     p.add_argument("--model", required=True,
-                   help="scalar model JSON, or KDE JSON (fitted under the "
-                   "mean-absolute loss)")
+                   help="scalar model JSON, or planar KDE JSON (read from "
+                   "a table of its density)")
     p.add_argument("--data", required=True)
     p.add_argument(
         "--family",

@@ -1,7 +1,7 @@
 """Discrete parametric symmetry fitting.
 
-Fits the parameters of a transformation family so that a fitted function (or
-an estimated density) is preserved.  Every family, the built-in reflection
+Fits the parameters of a transformation family so that a fitted function or
+an estimated density is preserved.  Every family, the built-in reflection
 about a line through the origin and planar rotation by a fixed angle
 included, is an n x n matrix of expression trees over its parameters under a
 unit-norm or an interval constraint; each tree is checked and compiled once,
@@ -23,12 +23,11 @@ ScalarFunctionModel whose atoms are all monomials, the scorer works in
 coefficient space: f o M is a polynomial of f's degree, so each angle costs
 f at a fixed set of probe points, one small least-squares solve and a loss
 read from the coefficients, whatever N is (_coefficient_losses).  Any other
-f, a table closure or a trig basis, is read at every transformed data point
-(_residual_losses), at most _BLOCK_POINTS of them per call.  The reported
-loss is always one direct _residual_losses call.  fit_density fits a planar
-family to an estimated density: it is fit_discrete under the mean-absolute
-loss, with f the density read from a table, and fit_density_rotation is
-fit_density on a rotation family.
+f, a KDE or a trig basis, is read at every transformed data point
+(_residual_losses), at most _BLOCK_POINTS of them per call; a planar KDE
+through a table of its density.  The reported loss is always one direct
+_residual_losses call of f itself.  fit_density_rotation is fit_discrete on
+a KDE and a rotation family.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 
 from .features import design_matrix, monomial_basis
 from .manifold import OptimizerConfig
-from .model_fit import KdeModel, ScalarFunctionModel, _kde_table, kde_eval
+from .model_fit import KdeModel, ScalarFunctionModel, _kde_table
 
 __all__ = [
     "ParametricFamily",
@@ -51,7 +50,6 @@ __all__ = [
     "rotation_family",
     "user_linear_family",
     "fit_discrete",
-    "fit_density",
     "fit_density_rotation",
 ]
 
@@ -410,20 +408,45 @@ def _angle_search(losses, grid: np.ndarray, xatol: float) -> float:
     return min(t for t, loss in candidates if loss <= floor)
 
 
+def _density_reader(kde: KdeModel, data: np.ndarray):
+    """points -> the planar density of kde, read from a table (model_fit's
+    _kde_table) over the square that holds the disc of radius max |x_i|:
+    turns and reflections keep |x|.  A point off that square, as under an
+    expanding family, raises ValueError; data whose radius is not finite
+    raise FloatingPointError."""
+    if data.shape[1] != 2 or kde.dimension != 2:
+        raise ValueError("density symmetry fitting is two-dimensional")
+    with np.errstate(over="ignore"):
+        radius = float(np.max(np.hypot(data[:, 0], data[:, 1])))
+    if not np.isfinite(radius):
+        raise FloatingPointError("the data's distance from the origin is not finite")
+    table = _kde_table(kde, radius)
+    bound = radius * (1.0 + 1e-12)  # a turn's matrix and product round by eps
+
+    def density(points):
+        if np.abs(points).max() > bound:
+            raise ValueError("the family moves a point off the density table "
+                             f"|x|, |y| <= {radius:.6g}")
+        return table(points)
+
+    return density
+
+
 def fit_discrete(
-    f: ScalarFunctionModel,
+    f,
     data: np.ndarray,
     family: ParametricFamily,
     config: OptimizerConfig,
 ) -> DiscreteFitResult:
     """Minimize the transformation residual of f over the family parameters.
 
-    Coordinate descent with exact line searches (Wright 2015): each line
-    through p is searched by _angle_search.  On an interval family p starts
-    at the box midpoint and each line is one coordinate, on linspace(lo, hi,
-    _GRID + 2).  On a unit-norm family each line turns p by t in one
-    coordinate plane, with t on a grid one spacing past both ends of
-    [0, 2 pi].  With one parameter the better of
+    f is a ScalarFunctionModel, a KdeModel or any callable from (N, n)
+    points to N values.  Coordinate descent with exact line searches
+    (Wright 2015): each line through p is searched by _angle_search.  On an
+    interval family p starts at the box midpoint and each line is one
+    coordinate, on linspace(lo, hi, _GRID + 2).  On a unit-norm family each
+    line turns p by t in one coordinate plane, with t on a grid one spacing
+    past both ends of [0, 2 pi].  With one parameter the better of
     +-e0 is taken, with two p starts at e0, and with three or more p starts
     at the best of _STARTS fixed unit vectors (normalised Gaussian draws of
     seed 0), scored in one blocked call of the loss, and each sweep that
@@ -436,13 +459,20 @@ def fit_discrete(
     row's loss does not depend on its block.  A ScalarFunctionModel whose
     atoms are all monomials is scored in coefficient space (see
     _coefficient_space: its call of f reads 2 m probe points per angle, m
-    the number of monomials of f's degree, not the N data points); any
-    other f, or a polynomial one with a monomial of its degree that
-    overflows at the data, by _residual_losses at the transformed data.
-    final_loss is one _residual_losses call at the returned p on either
-    path.  Only config.loss is read.
+    the number of monomials of f's degree, not the N data points); a
+    KdeModel, which must be planar, by _residual_losses on its density read
+    from a table (_density_reader); any other f, or a polynomial one with a
+    monomial of its degree that overflows at the data, by _residual_losses
+    at the transformed data.  final_loss is one _residual_losses call of f
+    itself at the returned p on every path: for a KDE under the
+    mean-absolute loss, the exact mean |p(M x_i) - p(x_i)|.  A KDE that is 0
+    at every data point and every image raises FloatingPointError.  Only
+    config.loss is read.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    # a KDE's table comes first: it refuses data whose radius is not finite
+    # before the exact density below would overflow on them
+    read = _density_reader(f, data) if isinstance(f, KdeModel) else f
     if data.shape[1] != family.dimension:
         raise ValueError("family dimension does not match data")
     base = f(data)
@@ -451,7 +481,9 @@ def fit_discrete(
     per_call = max(1, _BLOCK_POINTS // len(data))
     space = _coefficient_space(f, data, config.loss)
     if space is None:
-        score = lambda P: _residual_losses(f, data, base, family, P, config.loss)
+        read_base = base if read is f else read(data)
+        score = lambda P: _residual_losses(read, data, read_base, family, P,
+                                           config.loss)
     else:
         score = lambda P: _coefficient_losses(f, space, family, P)
 
@@ -515,54 +547,22 @@ def fit_discrete(
         tol = 1e-6 * (hi - lo)
         boundary = bool(np.any(p - lo < tol) or np.any(hi - p < tol))
     final = _residual_losses(f, data, base, family, p[None], config.loss)[0]
-    return DiscreteFitResult(p, float(final), excluded_region_active=boundary)
-
-
-def fit_density(kde: KdeModel, data: np.ndarray,
-                family: ParametricFamily) -> DiscreteFitResult:
-    """Parameters of a planar family that best preserve the estimated density.
-
-    Minimizes mean |p(M x_i) - p(x_i)| by fit_discrete, with p read from a
-    table (model_fit's _kde_table) over the square that holds the disc of
-    radius max |x_i|: turns and reflections keep |x|.  A scored point off
-    that square, as under an expanding family, raises ValueError.
-    final_loss is the exact loss, from one kde_eval of the data and one of
-    their image.  Data whose radius is not finite, or whose density and its
-    image's are 0 everywhere, raise FloatingPointError.
-    """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[1] != 2 or kde.dimension != 2:
-        raise ValueError("density symmetry fitting is two-dimensional")
-    with np.errstate(over="ignore"):
-        radius = float(np.max(np.hypot(data[:, 0], data[:, 1])))
-    if not np.isfinite(radius):
-        raise FloatingPointError("the data's distance from the origin is not finite")
-    table = _kde_table(kde, radius)
-    bound = radius * (1.0 + 1e-12)  # a turn's matrix and product round by eps
-
-    def density(points):
-        if np.abs(points).max() > bound:
-            raise ValueError("the family moves a point off the density table "
-                             f"|x|, |y| <= {radius:.6g}")
-        return table(points)
-
-    fit = fit_discrete(density, data, family, OptimizerConfig(loss="mean-absolute"))
-    image = data @ family.matrix(fit.parameters).T
-    at_image, at_data = kde_eval(kde, image), kde_eval(kde, data)
-    if not (np.any(at_image) or np.any(at_data)):
+    if isinstance(f, KdeModel) and not (
+            np.any(base) or np.any(f(data @ family.matrix(p).T))):
         raise FloatingPointError("the density is 0 at the data and their image: "
                                  "no angle is singled out")
-    fit.final_loss = float(np.mean(np.abs(at_image - at_data)))
-    return fit
+    return DiscreteFitResult(p, float(final), excluded_region_active=boundary)
 
 
 def fit_density_rotation(
     kde: KdeModel, data: np.ndarray, theta_min: float
 ) -> DiscreteFitResult:
     """Rotation angle in (theta_min, 2 pi - theta_min) matching the estimated
-    density: fit_density on rotation_family(theta_min, 2 pi - theta_min)."""
+    density: fit_discrete on rotation_family(theta_min, 2 pi - theta_min)
+    under the default, mean-absolute loss."""
     if not 0.0 < theta_min < np.pi:
         raise ValueError("theta_min must lie in (0, pi)")
     # the excluded region around the identity is symmetric: angles within
     # theta_min of a full turn are just as trivial as small ones
-    return fit_density(kde, data, rotation_family(theta_min, 2.0 * np.pi - theta_min))
+    return fit_discrete(kde, data, rotation_family(theta_min, 2.0 * np.pi - theta_min),
+                        OptimizerConfig())

@@ -320,6 +320,14 @@ class KdeModel:
     def dimension(self) -> int:
         return self.centers.shape[1]
 
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Density values: kde_eval."""
+        return kde_eval(self, points)
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """(N, n) array of density gradients: kde_gradient."""
+        return kde_gradient(self, points)
+
 
 def scott_bandwidth(data: np.ndarray) -> float:
     """N^(-1/(n+4)) times the mean marginal standard deviation."""

@@ -152,10 +152,11 @@ def _model_from_dict(d: dict, base_dir: str):
             raise ValueError("KDE centers file must end with a weight column")
         return KdeModel(table[:, :-1], table[:, -1], float(d["bandwidth"]))
     if kind == "vectorfield":
-        return VectorFieldModel(
-            basis_from_dict(d["basis"]),
-            np.array(d["columns"], dtype=float).T,
-        )
+        basis = basis_from_dict(d["basis"])
+        if "dimension" in d and _integer(d["dimension"]) != basis.dimension:
+            raise ValueError(f"dimension {d['dimension']!r} does not match the "
+                             f"basis's {basis.dimension}")
+        return VectorFieldModel(basis, np.array(d["columns"], dtype=float).T)
     if kind == "basisfield":
         return VectorFieldModel.from_components(
             [

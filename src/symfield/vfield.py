@@ -22,7 +22,7 @@ import numpy as np
 from . import manifold
 from .features import (FeatureBasis, _power, design_matrix, jacobian_stack,
                        monomial_basis)
-from .model_fit import KdeModel, LevelSetModel, ScalarFunctionModel, kde_gradient
+from .model_fit import LevelSetModel, ScalarFunctionModel
 
 __all__ = [
     "VectorFieldModel",
@@ -155,8 +155,6 @@ def _jacobians(model, points: np.ndarray) -> np.ndarray:
     """(N, k, n) Jacobians J(F)(x_i) of a fitted level set, KDE or scalar F."""
     if isinstance(model, LevelSetModel):
         J = model.jacobians(points)
-    elif isinstance(model, KdeModel):
-        J = kde_gradient(model, points)[:, None, :]
     else:
         J = model.gradient(points)[:, None, :]
     if not np.all(np.isfinite(J)):
@@ -271,8 +269,7 @@ def estimate_flow_parameter(
 ) -> FlowParameterResult:
     """Least squares for theta with X(theta) = 1 over the candidate features;
     flagged when the RMS residual exceeds FLOW_PARAMETER_RESIDUAL."""
-    if fields.n_fields != 1:
-        raise ValueError("flow parameter fitting needs a single field")
+    fields._one_field()  # refuses a model of several fields
     M2 = invariant_feature_matrix(fields, data, candidate_basis)
     v = manifold.minimize_affine_target(M2, np.ones(M2.shape[0]))
     residual = float(

@@ -718,17 +718,27 @@ def test_unread_options_are_options_of_their_command_that_default_to_none():
                 assert actions[option].default is None, (command, option)
 
 
-@pytest.mark.parametrize("config", [{"algorithm": "riemannian-sgd"},
-                                    {"loss": "mean-squared"}])
-def test_discrete_refuses_an_opt_config_on_a_kde(tmp_path, monkeypatch, config):
-    # a density fit is always mean-absolute and reads no optimizer settings:
-    # both files exited 0, the first one invalid on a scalar model
+def test_discrete_refuses_an_invalid_opt_config_on_a_kde(tmp_path, monkeypatch):
+    # the file is read as on a scalar model, where it is invalid
     _kde_inputs(tmp_path, monkeypatch)
-    save_json(config, "opt.json")
+    save_json({"algorithm": "riemannian-sgd"}, "opt.json")
     assert run("discrete", "--model", "kde.json", "--data", "d.csv",
                "--family", "reflection", "--opt-config", "opt.json",
                "--out", "r.json") == 2
     assert not (tmp_path / "r.json").exists()
+
+
+def test_discrete_reads_the_loss_of_an_opt_config_on_a_kde(tmp_path, monkeypatch):
+    # a KDE was refused any --opt-config; it now takes the loss, as a scalar
+    # model does
+    data = _kde_inputs(tmp_path, monkeypatch)
+    save_json({"loss": "mean-squared"}, "opt.json")
+    assert run("discrete", "--model", "kde.json", "--data", "d.csv",
+               "--family", "reflection", "--opt-config", "opt.json",
+               "--out", "r.json") == 0
+    want = sf.fit_discrete(load_model("kde.json"), data, sf.reflection_family(),
+                           sf.OptimizerConfig(loss="mean-squared"))
+    assert load_json("r.json") == want.to_dict()
 
 
 def test_user_linear_without_n_params_has_one_parameter(tmp_path, monkeypatch):
@@ -792,7 +802,8 @@ def test_discrete_fits_a_reflection_to_a_kde(tmp_path, monkeypatch):
     data = _kde_inputs(tmp_path, monkeypatch)
     assert run("discrete", "--model", "kde.json", "--data", "d.csv",
                "--family", "reflection", "--out", "r.json") == 0
-    want = sf.fit_density(load_model("kde.json"), data, sf.reflection_family())
+    want = sf.fit_discrete(load_model("kde.json"), data, sf.reflection_family(),
+                           sf.OptimizerConfig())
     assert load_json("r.json") == want.to_dict()
 
 
@@ -1069,6 +1080,20 @@ def test_flow_refuses_a_model_of_several_fields(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_flow_param_refuses_a_model_of_several_fields(tmp_path, monkeypatch, capsys):
+    # flow-param said "flow parameter fitting needs a single field"; it now
+    # refuses as flow, sim and grid do
+    monkeypatch.chdir(tmp_path)
+    run("gen", "--name", "gaussian-quadratic", "--size", "200", "--out", "d.csv")
+    assert run("fit-fn", "--data", "d.csv", "--out", "f.json") == 0
+    assert run("find-vf", "--model", "f.json", "--data", "d.csv", "--c", "2",
+               "--out", "vf.json") == 0
+    assert run("flow-param", "--vf", "vf.json", "--data", "d.csv",
+               "--out", "theta.json") == 2
+    assert "need a single field; the model holds 2" in capsys.readouterr().err
+    assert not (tmp_path / "theta.json").exists()
+
+
 def test_flow_refuses_a_vector_field_with_a_nan_coefficient(
         tmp_path, monkeypatch, capsys):
     # the field used to load, and flow exited 3 with "flow state became
@@ -1183,6 +1208,10 @@ def _malformed_model_files():
             "dimension": 2, "atoms": [{"kind": "monomial", "exponents": [True, 0]}]}},
         "axis.json": {"type": "scalar", "coefficients": [1.0], "basis": {
             "dimension": 2, "atoms": [{"kind": "sin", "axis": 0.5}]}},
+        # a 2-D field whose "dimension" key says 5; flow integrated it
+        "dimension5.json": {**model_to_dict(poly_field(2, 1, {(0, 1): 1.0},
+                                                       {(1, 0): -1.0})),
+                            "dimension": 5},
     }
 
 
@@ -1198,6 +1227,7 @@ def _malformed_model_files():
     ["discrete", "--model", "components.json", "--data", "d.csv",
      "--family", "reflection"],
     ["find-vf", "--model", "nan_levelset.json", "--data", "d.csv"],
+    ["flow", "--field", "dimension5.json", "--x0", "2,1", "--t", "1"],
 ])
 def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
     # each of these raised a TypeError or IndexError (exit 1), except the
@@ -1209,7 +1239,7 @@ def test_malformed_input_files_fail(tmp_path, monkeypatch, command):
               + 0.1 * rng.standard_normal((90, 2)))
     for name, model in _malformed_model_files().items():
         (tmp_path / name).write_text(json.dumps(model))  # save_json refuses NaN
-    out = "out" if command[0] == "fit-levelset" else "out.json"
+    out = {"fit-levelset": "out", "flow": "out.csv"}.get(command[0], "out.json")
     assert run(*command, "--out", out) == 2
     assert not (tmp_path / out).exists()
 

@@ -7,7 +7,6 @@ import symfield as sf
 from conftest import einsum_table_reader, poly_model
 from symfield import discrete, model_fit
 from symfield.discrete import (
-    fit_density,
     fit_density_rotation,
     fit_discrete,
     reflection_family,
@@ -289,11 +288,13 @@ def _mirror_line_degrees(p):
     return math.degrees(math.atan2(-p[0], p[1])) % 180.0
 
 
-def test_density_reflection_finds_the_mirror_lines():
+@pytest.mark.parametrize("loss", ["mean-absolute", "mean-squared"])
+def test_density_reflection_finds_the_mirror_lines(loss):
     # a reflection keeps |x|, so the density table covers every image.  The
     # square blobs have mirror lines every 45 degrees; the ellipse centred
     # on (1, 0) has only the x-axis.  Over ten seeds each the lines lay
-    # 0.01-0.45 and 0.12-1.40 degrees off (sampling error); here 0.34 and 0.53
+    # 0.01-0.45 and 0.12-1.40 degrees off (sampling error, mean-absolute);
+    # here 0.34 and 0.53, and 0.29 and 0.56 under the mean-squared loss
     rng = np.random.default_rng(6)
     centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     square = (centers[rng.integers(0, 4, 1200)]
@@ -301,7 +302,8 @@ def test_density_reflection_finds_the_mirror_lines():
     ellipse = ([1.0, 0.0] + np.random.default_rng(0).standard_normal((1000, 2))
                * [0.6, 0.25])
     for data, spacing in ((square, 45.0), (ellipse, 180.0)):
-        result = fit_density(kde_fit(data), data, reflection_family())
+        result = fit_discrete(kde_fit(data), data, reflection_family(),
+                              sf.OptimizerConfig(loss=loss))
         off = _mirror_line_degrees(result.parameters) % spacing
         assert min(off, spacing - off) <= 1.0
 
@@ -314,7 +316,26 @@ def test_density_fit_refuses_a_family_that_leaves_the_table():
     scale = {"op": "add", "args": [1, p]}
     family = user_linear_family([[scale, 0], [0, scale]], 1, "interval", (0.1, 1.0))
     with pytest.raises(ValueError, match="density table"):
-        fit_density(kde_fit(data), data, family)
+        fit_discrete(kde_fit(data), data, family, sf.OptimizerConfig())
+
+
+def test_kde_fit_reports_the_exact_density_loss():
+    # the search reads the density table; final_loss is read from kde_eval
+    kde, data = _disc_rot_kde(1000, 401)
+    family = reflection_family()
+    result = fit_discrete(kde, data, family, sf.OptimizerConfig())
+    M = family.matrix(result.parameters)
+    want = np.mean(np.abs(kde_eval(kde, data @ M.T) - kde_eval(kde, data)))
+    assert result.final_loss.hex() == want.hex()
+
+
+def test_mean_squared_density_fit_finds_the_seven_fold_rotation():
+    # within criterion 6's 0.08 at N = 1000: 0.024 off here, and 0.0236
+    # under the mean-absolute loss
+    kde, data = _disc_rot_kde(1000, 401)
+    result = fit_discrete(kde, data, rotation_family(np.pi / 6, 11 * np.pi / 6),
+                          sf.OptimizerConfig(loss="mean-squared"))
+    assert abs(result.parameters[0] - 2 * np.pi / 7) <= 0.08
 
 
 def test_family_validation():
@@ -934,7 +955,7 @@ def test_coefficient_path_matches_direct_path(case, scale, loss):
 
 @pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
 def test_trig_models_and_densities_take_the_direct_path(monkeypatch, loss):
-    # a basis with a trig atom, and fit_density's table closure, are read at
+    # a basis with a trig atom, and a KDE's density table, are read at
     # every transformed point, bit for bit as when f is a plain callable
     scored = []
     monkeypatch.setattr(discrete, "_coefficient_losses",

@@ -340,6 +340,14 @@ def test_kde_single_center_normalization():
     assert val == pytest.approx((2 * np.pi * 0.25) ** -1, rel=1e-12)
 
 
+def test_kde_model_calls_are_kde_eval_and_kde_gradient():
+    rng = np.random.default_rng(0)
+    model = kde_fit(rng.standard_normal((300, 2)), rng.uniform(0.5, 1.0, 300))
+    points = 2.0 * rng.standard_normal((50, 2))
+    assert model(points).tobytes() == kde_eval(model, points).tobytes()
+    assert model.gradient(points).tobytes() == kde_gradient(model, points).tobytes()
+
+
 @pytest.mark.parametrize("points", [np.zeros((5, 1)), np.zeros((5, 3)), np.zeros(1)])
 def test_kde_refuses_points_of_another_dimension(points):
     # (n, 1) points used to broadcast against a 2-D model's centres

@@ -79,6 +79,11 @@ def test_vectorfield_model_roundtrip(tmp_path):
     again = load_model(path)
     assert np.array_equal(again.columns, model.columns)
     assert again.basis == basis
+    # the "dimension" key is written, checked on reading, and optional
+    d = load_json(path)
+    assert d["dimension"] == 2
+    del d["dimension"]
+    assert np.array_equal(model_from_dict(d).columns, model.columns)
 
 
 def _mono(*exponents):
@@ -176,6 +181,8 @@ def _scalar_dict():
     {"type": "basisfield", "components": BASISFIELD["components"][:2]},
     {"type": "vectorfield", "basis": basis_to_dict(monomial_basis(1, 0)),
      "columns": [[[1.0]]]},
+    {**model_to_dict(VectorFieldModel(monomial_basis(2, 1), np.ones((6, 1)))),
+     "dimension": 5},
     {"type": "levelset", "basis": _scalar_dict()["basis"]},
     {"basis": 5},
 ])
