@@ -18,16 +18,18 @@ of unit vectors and ends each sweep with a turn along the great circle that
 the sweep moved on.  The Brent runs of one line advance in lockstep, so each
 step of all of them is one set of angles, and every set of angles, the grid's
 or a step's, is scored by one blocked scorer: stacked calls of f, each for at
-most _BLOCK_POINTS // N angles, N the number of data rows.  When f is a
-ScalarFunctionModel whose atoms are all monomials, the scorer works in
-coefficient space: f o M is a polynomial of f's degree, so each angle costs
-f at a fixed set of probe points, one small least-squares solve and a loss
-read from the coefficients, whatever N is (_coefficient_losses).  Any other
-f, a KDE or a trig basis, is read at every transformed data point
-(_residual_losses), at most _BLOCK_POINTS of them per call; a planar KDE
-through a table of its density.  The reported loss is always one direct
-_residual_losses call of f itself.  fit_density_rotation is fit_discrete on
-a KDE and a rotation family.
+most _BLOCK_POINTS // v angles, v the values one angle costs the scorer.
+When f is a ScalarFunctionModel whose atoms are all monomials, the scorer
+works in coefficient space: f o M is a polynomial of f's degree, so each
+angle costs f at 2 m fixed probe points (m the number of monomials of f's
+degree), one small least-squares solve and a loss read from the
+coefficients (_coefficient_losses): v = 2 m under the mean-squared loss,
+which never reads N, the number of data rows, and max(2 m, N) under the
+mean-absolute loss, which forms the N residuals.  Any other f, a KDE or a
+trig basis, is read at every transformed data point (_residual_losses):
+v = N; a planar KDE through a table of its density.  The reported loss is
+always one direct _residual_losses call of f itself.  fit_density_rotation
+is fit_discrete on a KDE and a rotation family.
 """
 
 from __future__ import annotations
@@ -286,7 +288,13 @@ def _coefficient_losses(f, space: _CoefficientSpace, family, P) -> np.ndarray:
 
 
 _GRID = 64  # every line's grid has _GRID + 2 angles
-_BLOCK_POINTS = 1 << 12  # most transformed points in one grid call of f
+# most values one call of a scorer holds per column of its arrays: the
+# points f is called at (each a row of f's m-column design matrix), or the
+# residuals the mean-absolute loss forms.  A block holds _BLOCK_POINTS // v
+# angles (at least one), v the values one angle costs the scorer: 2 m
+# probes in coefficient space, max(2 m, N) there under the mean-absolute
+# loss, N on the residual path
+_BLOCK_POINTS = 1 << 12
 _FIT_XATOL = 1e-10  # fit_discrete's line-search tolerance
 _SWEEP_TOL = 1e-8  # fit_discrete stops when a sweep moves no coordinate further
 _MAX_SWEEPS = 50
@@ -455,19 +463,21 @@ def fit_discrete(
     coordinate moves by more than _SWEEP_TOL, at most _MAX_SWEEPS times; one
     line gets one search.  Each set of angles a search scores, its grid or
     one lockstep step of its Brent runs, is scored in blocks of
-    _BLOCK_POINTS // N angles (at least one), one call of f per block; a
-    row's loss does not depend on its block.  A ScalarFunctionModel whose
-    atoms are all monomials is scored in coefficient space (see
-    _coefficient_space: its call of f reads 2 m probe points per angle, m
-    the number of monomials of f's degree, not the N data points); a
-    KdeModel, which must be planar, by _residual_losses on its density read
+    _BLOCK_POINTS // v angles (at least one), v the values one angle costs
+    the scorer, one call of f per block; a row's loss does not depend on its
+    block.  A ScalarFunctionModel whose atoms are all monomials is scored in
+    coefficient space (see _coefficient_space): its call of f reads 2 m
+    probe points per angle, m the number of monomials of f's degree, so v =
+    2 m under the mean-squared loss, and v = max(2 m, N) under the
+    mean-absolute loss, whose residual holds the N data rows.  A KdeModel,
+    which must be planar, is scored by _residual_losses on its density read
     from a table (_density_reader); any other f, or a polynomial one with a
     monomial of its degree that overflows at the data, by _residual_losses
-    at the transformed data.  final_loss is one _residual_losses call of f
-    itself at the returned p on every path: for a KDE under the
-    mean-absolute loss, the exact mean |p(M x_i) - p(x_i)|.  A KDE that is 0
-    at every data point and every image raises FloatingPointError.  Only
-    config.loss is read.
+    at the transformed data; on both, v = N.  final_loss is one
+    _residual_losses call of f itself at the returned p on every path: for
+    a KDE under the mean-absolute loss, the exact mean |p(M x_i) - p(x_i)|.
+    A KDE that is 0 at every data point and every image raises
+    FloatingPointError.  Only config.loss is read.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     # a KDE's table comes first: it refuses data whose radius is not finite
@@ -478,14 +488,18 @@ def fit_discrete(
     base = f(data)
     if not np.all(np.isfinite(base)):
         raise ValueError("the model is not finite at the data")
-    per_call = max(1, _BLOCK_POINTS // len(data))
     space = _coefficient_space(f, data, config.loss)
     if space is None:
         read_base = base if read is f else read(data)
         score = lambda P: _residual_losses(read, data, read_base, family, P,
                                            config.loss)
+        per_angle = len(data)
     else:
         score = lambda P: _coefficient_losses(f, space, family, P)
+        per_angle = len(space.probes)
+        if config.loss != "mean-squared":
+            per_angle = max(per_angle, len(data))
+    per_call = max(1, _BLOCK_POINTS // per_angle)
 
     def losses(P):
         return np.concatenate([score(P[i:i + per_call])

@@ -107,23 +107,36 @@ class FeatureAtom:
         return 0
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Atom values at an (N, n) array of points.  A monomial multiplies
-        _power(x_j, e_j) over its coordinates, left to right."""
+        """Atom values at an (N, n) array of points, a new array."""
+        out = np.empty(points.shape[0])
+        self.fill(points, out)
+        return out
+
+    def fill(self, points: np.ndarray, out: np.ndarray) -> None:
+        """Write the atom values at an (N, n) array of points into out, an
+        (N,) array or a column view.  A monomial multiplies _power(x_j, e_j)
+        over its coordinates, left to right, from the first nonzero e_j: the
+        bits of a product started from ones, as 1.0 * x == x."""
         if self.kind == "monomial":
-            out = np.ones(points.shape[0])
+            empty = True
             for j, e in enumerate(self.exponents):
-                if e:
-                    out = out * _power(points[:, j], e)
-            return out
-        if self.kind == "sin":
-            return np.sin(points[:, self.axis])
-        if self.kind == "cos":
-            return np.cos(points[:, self.axis])
-        mono = FeatureAtom("monomial", self.exponents).values(points)
-        inner = np.zeros(points.shape[0])
-        for atom, coeff in self.factor:
-            inner += coeff * atom.values(points)
-        return mono * inner
+                if e and empty:
+                    out[...] = _power(points[:, j], e)
+                    empty = False
+                elif e:
+                    np.multiply(out, _power(points[:, j], e), out)
+            if empty:
+                out[...] = 1.0
+        elif self.kind == "sin":
+            np.sin(points[:, self.axis], out)
+        elif self.kind == "cos":
+            np.cos(points[:, self.axis], out)
+        else:
+            inner = np.zeros(points.shape[0])
+            for atom, coeff in self.factor:
+                inner += coeff * atom.values(points)
+            FeatureAtom("monomial", self.exponents).fill(points, out)
+            np.multiply(out, inner, out)
 
     def partials(self, points: np.ndarray) -> np.ndarray:
         """(N, n) array of partial derivatives at each point."""
@@ -244,7 +257,10 @@ def design_matrix(basis: FeatureBasis, points: np.ndarray) -> np.ndarray:
             f"points have dimension {points.shape[1]}, "
             f"basis expects {basis.dimension}"
         )
-    return np.column_stack([a.values(points) for a in basis.atoms])
+    out = np.empty((points.shape[0], len(basis)))
+    for k, atom in enumerate(basis.atoms):
+        atom.fill(points, out[:, k])
+    return out
 
 
 def jacobian_stack(basis: FeatureBasis, points: np.ndarray) -> np.ndarray:

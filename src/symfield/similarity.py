@@ -89,8 +89,12 @@ def domain_from_data(data: np.ndarray) -> IntegrationDomain:
     upper = data.max(axis=0)
     degenerate = [int(i) for i in np.nonzero(upper - lower <= 0)[0]]
     for i in degenerate:
-        lower[i] -= 1e-9
-        upper[i] += 1e-9
+        x = lower[i]
+        # x -+ 1e-9 round to x once |x| > 2**24 (about 1.7e7); such an axis is
+        # widened by k = 4 spacings of |x| instead, which leave both ends off
+        # x and at least seven floats between them
+        width = 1e-9 if x - 1e-9 < x + 1e-9 else 4 * np.spacing(abs(x))
+        lower[i], upper[i] = x - width, x + width
     return IntegrationDomain(lower, upper, degenerate)
 
 

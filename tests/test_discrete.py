@@ -574,8 +574,16 @@ def test_stacked_grid_losses_equal_one_angle_losses(monkeypatch, case,
     # each call of a line's loss, its 66 grid angles or one angle per Brent
     # run still going, comes in blocks of per_call, the last holding what is
     # left; so do the _STARTS starts of the three-parameter unit-norm fit,
-    # scored first; the final loss is one more, direct call
-    per_call = _BLOCK_POINTS // n_points
+    # scored first; the final loss is one more, direct call.  A block holds
+    # _BLOCK_POINTS // v angles, v the values one angle costs the scorer:
+    # N transformed points on the residual path, 2 m probes in coefficient
+    # space, and there max(2 m, N) under the mean-absolute loss
+    per_angle = n_points
+    if coefficients:
+        per_angle = 2 * len(monomial_basis(2, model.degree()))
+        if loss == "mean-absolute":
+            per_angle = max(per_angle, n_points)
+    per_call = _BLOCK_POINTS // per_angle
     assert len(searches) >= 2 and all(sizes[0] == 66 for sizes in searches)
     assert any(k > 1 for sizes in searches for k in sizes[1:])  # stacked steps
     scored = [_STARTS] if case.startswith("odd-three") else []
@@ -590,17 +598,40 @@ def test_stacked_grid_losses_equal_one_angle_losses(monkeypatch, case,
         assert sizes == {"_coefficient_losses": [], "_residual_losses": blocks + [1]}
 
 
+class _RowCountingModel(model_fit.ScalarFunctionModel):
+    """A scalar model that records the rows of each call."""
+
+    def __call__(self, points):
+        self.rows.append(len(points))
+        return super().__call__(points)
+
+
+@pytest.mark.parametrize("loss", ["mean-squared", "mean-absolute"])
 @pytest.mark.parametrize("n_points", [300, 5000])
-def test_grid_calls_of_f_stay_within_the_block_cap(n_points):
-    # above the cap each call of f holds one angle's points, as unstacked
+@pytest.mark.parametrize("scorer", ["residual", "coefficient"])
+def test_grid_calls_of_f_stay_within_the_block_cap(scorer, n_points, loss):
+    # f as a plain callable is read at the N transformed points of each
+    # angle, the model itself at 2 m probes per angle, with N residuals per
+    # angle under the mean-absolute loss; a call holds _BLOCK_POINTS // v
+    # angles of v values each, and above the cap one angle, as unstacked.
+    # So the coefficient path's mean-squared grid is one call of f
     plane = np.random.default_rng(7).standard_normal((n_points, 2))
-    f = poly_model(monomial_basis(2, 3), {(3, 0): 1.0, (1, 2): -3.0})
-    rows = []
-    fit_discrete(lambda X: rows.append(len(X)) or f(X), plane,
-                 rotation_family(1.0, 3.0), CFG)
-    assert all(r % n_points == 0 for r in rows)
-    assert max(rows) <= max(_BLOCK_POINTS, n_points)
-    assert max(rows) == n_points * max(1, _BLOCK_POINTS // n_points)
+    basis = monomial_basis(2, 3)
+    model = _RowCountingModel(basis, poly_model(
+        basis, {(3, 0): 1.0, (1, 2): -3.0}).coefficients)
+    model.rows = []
+    f = model if scorer == "coefficient" else (lambda X: model(X))
+    fit_discrete(f, plane, rotation_family(1.0, 3.0), sf.OptimizerConfig(loss=loss))
+    points = n_points if scorer == "residual" else 2 * len(basis)
+    per_angle = max(points, n_points) if loss == "mean-absolute" else points
+    per_call = max(1, _BLOCK_POINTS // per_angle)
+    base, *scored, final = model.rows
+    assert base == final == n_points
+    assert all(r % points == 0 for r in scored)
+    angles = [r // points for r in scored]
+    assert max(angles) * per_angle <= max(_BLOCK_POINTS, per_angle)
+    assert angles[:math.ceil(66 / per_call)] == [
+        min(per_call, 66 - i) for i in range(0, 66, per_call)]
 
 
 def test_fit_reads_only_the_loss_of_its_config():

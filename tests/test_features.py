@@ -179,6 +179,46 @@ def test_design_and_jacobian_shapes():
     assert jacobian_stack(basis, pts).shape == (7, len(basis), 2)
 
 
+def _from_ones(atom, X):
+    """The atom's values, a monomial's as a product started from np.ones."""
+    if atom.kind in ("sin", "cos"):
+        return getattr(np, atom.kind)(X[:, atom.axis])
+    out = np.ones(len(X))
+    for j, e in enumerate(atom.exponents):
+        if e:
+            out = out * _power(X[:, j], e)
+    if atom.kind == "product":
+        inner = np.zeros(len(X))
+        for factor, coeff in atom.factor:
+            inner += coeff * _from_ones(factor, X)
+        out = out * inner
+    return out
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 300])
+def test_design_matrix_keeps_the_bits_of_its_atoms(n_points):
+    # every kind of atom, the constant one included, at points that hold a
+    # -0.0 and a coordinate whose cube overflows
+    inner = ((FeatureAtom("monomial", (0, 1)), 0.5), (FeatureAtom("sin", axis=1), -2.0))
+    basis = trig_extend(monomial_basis(2, 3)).extend(
+        [FeatureAtom("product", (1, 2), factor=inner)])
+    X = np.random.default_rng(n_points).uniform(-3.0, 3.0, (n_points, 2))
+    X[:1] = [-0.0, 1e120]
+    before = X.copy()
+    with np.errstate(over="ignore"):
+        B = design_matrix(basis, X)
+        columns = [a.values(X) for a in basis.atoms]
+        from_ones = np.column_stack([_from_ones(a, X) for a in basis.atoms])
+    assert B.shape == (n_points, len(basis)) and B.flags.c_contiguous
+    assert np.isinf(B).any() == (n_points > 0)
+    assert B.tobytes() == np.column_stack(columns).tobytes() == from_ones.tobytes()
+    # x1 and x2 are _power(x, 1), views of X: the matrix and each atom's
+    # values are copies
+    for array in [B, *columns]:
+        array[...] = 7.0
+    assert X.tobytes() == before.tobytes()
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         design_matrix(monomial_basis(2, 1), np.zeros((3, 3)))

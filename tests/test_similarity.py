@@ -46,6 +46,23 @@ def test_domain_degenerate_axis_flagged():
     assert dom.lower[1] < 3.0 < dom.upper[1]
 
 
+@pytest.mark.parametrize("offset", [1e8, 1e12, -1e12])
+def test_constant_axis_far_from_the_origin_is_widened(offset):
+    # x -+ 1e-9 round to x there; the axis is widened by spacings of |x|
+    dom = domain_from_data(np.array([[0.0, offset], [1.0, offset]]))
+    assert dom.degenerate_axes == [1]
+    assert dom.lower[1] < offset < dom.upper[1]
+    assert dom.upper[1] - dom.lower[1] == 8 * np.spacing(abs(offset))
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0, -2.5e3, 1e6, 2.0**23, 2.0**24])
+def test_constant_axis_widened_by_1e9_keeps_its_bounds(offset):
+    # wherever 1e-9 widens the axis, its bounds are x -+ 1e-9 as computed
+    dom = domain_from_data(np.array([[0.0, offset], [1.0, offset]]))
+    assert dom.lower[1].hex() == (offset - 1e-9).hex()
+    assert dom.upper[1].hex() == (offset + 1e-9).hex()
+
+
 def test_domain_needs_two_points():
     with pytest.raises(ValueError):
         domain_from_data(np.array([[1.0, 2.0]]))
